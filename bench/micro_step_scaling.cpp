@@ -1,27 +1,25 @@
-// Step-loop scaling microbenchmark: Table II RWP at growing fleet sizes,
-// legacy scan-based step loop vs the event-driven core (expiry/ETA heaps
-// + kinetic contact skipping), for FIFO and SDSRP. The two paths are
-// decision-identical by construction, so each (N, policy) cell also
-// compares end-of-run digests — `event_digest_matches_legacy` in the
-// JSON is the AND over every cell and is gated by CI.
+// Step-loop scaling microbenchmark: random-waypoint worlds with the
+// Table II parameters at growing fleet sizes, legacy scan-based step loop
+// vs the event-driven core (expiry/ETA heaps + kinetic contact
+// skipping), for FIFO and SDSRP. The two paths are decision-identical by
+// construction, so each (N, policy) cell also compares end-of-run
+// digests — `event_digest_matches_legacy` in the JSON is the AND over
+// every cell and is gated by CI.
 //
-// Two row families:
-//   * paper rows (126/500/2000 nodes): the Table II scenario as-is, both
-//     paths timed over the full horizon;
-//   * large-N rows (10k/100k nodes): the same scenario at constant node
-//     density (area scaled with N) exercising the data-oriented core —
-//     SoA hot state, arena-pooled messages, hierarchical grid
-//     (DESIGN.md §14). The legacy path's O(N·messages) scans make full
-//     horizons impractical there, so the digest gate runs both paths
-//     over a short window and only the event path is timed in full.
+// Each row's `mode` names the world it builds (`area_w_m`/`area_h_m`
+// record its area):
+//   * `table2` (100 nodes): the Table II scenario as-is;
+//   * `constant-density` (126/500/2000 nodes): the area grows with N so
+//     node density stays at Table II's; both paths are timed over the
+//     full horizon;
+//   * `large-n-constant-density` (10k/100k nodes): the same density,
+//     exercising the data-oriented core — SoA hot state, arena-pooled
+//     messages, hierarchical grid (DESIGN.md §14). The legacy path's
+//     O(N·messages) scans make full horizons impractical there, so the
+//     digest gate runs both paths over a short window and only the event
+//     path is timed in full.
 //
-//   ./micro_step_scaling [warm_s] [measure_s] [out.json] [threads]
-//
-// `threads` (or the DTN_THREADS environment variable; the positional
-// argument wins) sets Parallel.threads for the event-path runs — the
-// legacy path is the serial baseline by definition and always runs with
-// 0. Thread count never changes results (DESIGN.md §16), so the digest
-// gate is unaffected; the JSON records the value used.
+//   ./micro_step_scaling [warm_s] [measure_s] [out.json]
 //
 // Writes a JSON report (default BENCH_step_scaling.json); the committed
 // copy at the repo root is produced with the default full horizons.
@@ -63,12 +61,17 @@ dtn::Scenario scaled_scenario(std::size_t nodes, const std::string& policy,
   return sc;
 }
 
+/// The `mode` label of the world scaled_scenario builds for `nodes`.
+const char* world_label(std::size_t nodes) {
+  return nodes <= dtn::Scenario::random_waypoint_paper().n_nodes
+             ? "table2"
+             : "constant-density";
+}
+
 RunResult run_one(std::size_t nodes, const std::string& policy, bool legacy,
-                  double warm_s, double measure_s, std::size_t threads) {
+                  double warm_s, double measure_s) {
   dtn::Scenario sc = scaled_scenario(nodes, policy, legacy);
   sc.world.duration = warm_s + measure_s;
-  // The legacy baseline stays serial; `threads` applies to the event path.
-  sc.world.threads = legacy ? 0 : threads;
   auto world = dtn::build_world(sc);
   world->run_until(warm_s);
   const auto t0 = std::chrono::steady_clock::now();
@@ -87,9 +90,12 @@ std::string row_json(std::size_t n, const std::string& policy,
                      const char* mode, double legacy_sps, double event_sps,
                      std::size_t delivered, bool match) {
   const double speedup = legacy_sps > 0.0 ? event_sps / legacy_sps : 0.0;
+  const dtn::Rect area = scaled_scenario(n, policy, false).rwp.area;
   return "    {\"nodes\": " + std::to_string(n) + ", \"policy\": \"" +
          policy + "\", \"mode\": \"" + mode +
-         "\", \"legacy_steps_per_sec\": " + std::to_string(legacy_sps) +
+         "\", \"area_w_m\": " + std::to_string(area.width()) +
+         ", \"area_h_m\": " + std::to_string(area.height()) +
+         ", \"legacy_steps_per_sec\": " + std::to_string(legacy_sps) +
          ", \"event_steps_per_sec\": " + std::to_string(event_sps) +
          ", \"speedup\": " + std::to_string(speedup) +
          ", \"delivered\": " + std::to_string(delivered) +
@@ -102,37 +108,30 @@ int main(int argc, char** argv) {
   const double warm_s = argc > 1 ? std::strtod(argv[1], nullptr) : 300.0;
   const double measure_s = argc > 2 ? std::strtod(argv[2], nullptr) : 1500.0;
   const std::string out_path = argc > 3 ? argv[3] : "BENCH_step_scaling.json";
-  std::size_t threads = 0;
-  if (const char* env = std::getenv("DTN_THREADS")) {
-    threads = std::strtoul(env, nullptr, 10);
-  }
-  if (argc > 4) threads = std::strtoul(argv[4], nullptr, 10);
 
-  const std::vector<std::size_t> fleet_sizes{126, 500, 2000};
+  const std::vector<std::size_t> fleet_sizes{100, 126, 500, 2000};
   const std::vector<std::string> policies{"fifo", "sdsrp"};
 
-  std::cout << "Table II RWP step scaling, warm " << warm_s << " s, measure "
-            << measure_s << " s, event-path threads " << threads << "\n";
+  std::cout << "RWP step scaling (Table II parameters), warm " << warm_s
+            << " s, measure " << measure_s << " s\n";
 
   bool all_digests_match = true;
   std::string rows;
   for (const std::size_t n : fleet_sizes) {
     for (const std::string& policy : policies) {
-      const RunResult legacy =
-          run_one(n, policy, true, warm_s, measure_s, threads);
-      const RunResult event =
-          run_one(n, policy, false, warm_s, measure_s, threads);
+      const RunResult legacy = run_one(n, policy, true, warm_s, measure_s);
+      const RunResult event = run_one(n, policy, false, warm_s, measure_s);
       const bool match = legacy.digest == event.digest;
       all_digests_match = all_digests_match && match;
-      std::cout << "  N=" << n << " " << policy << ": legacy "
-                << legacy.steps_per_sec << " steps/s, event "
+      std::cout << "  N=" << n << " " << policy << " (" << world_label(n)
+                << "): legacy " << legacy.steps_per_sec << " steps/s, event "
                 << event.steps_per_sec << " steps/s, speedup "
                 << (legacy.steps_per_sec > 0.0
                         ? event.steps_per_sec / legacy.steps_per_sec
                         : 0.0)
                 << "x, digest " << (match ? "match" : "MISMATCH") << "\n";
       if (!rows.empty()) rows += ",\n";
-      rows += row_json(n, policy, "paper", legacy.steps_per_sec,
+      rows += row_json(n, policy, world_label(n), legacy.steps_per_sec,
                        event.steps_per_sec, event.delivered, match);
     }
   }
@@ -155,13 +154,13 @@ int main(int argc, char** argv) {
   for (const LargeRow& lr : large) {
     const std::string policy = "fifo";
     const RunResult legacy_gate =
-        run_one(lr.nodes, policy, true, 0.0, lr.gate_s, threads);
+        run_one(lr.nodes, policy, true, 0.0, lr.gate_s);
     const RunResult event_gate =
-        run_one(lr.nodes, policy, false, 0.0, lr.gate_s, threads);
+        run_one(lr.nodes, policy, false, 0.0, lr.gate_s);
     const bool match = legacy_gate.digest == event_gate.digest;
     all_digests_match = all_digests_match && match;
     const RunResult event =
-        run_one(lr.nodes, policy, false, lr.warm_s, lr.measure_s, threads);
+        run_one(lr.nodes, policy, false, lr.warm_s, lr.measure_s);
     std::cout << "  N=" << lr.nodes << " " << policy
               << " (constant density): event " << event.steps_per_sec
               << " steps/s, gate window " << lr.gate_s << " s digest "
@@ -174,10 +173,8 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n"
       << dtn::bench::bench_env_json_fields()
-      << "  \"scenario\": \"rwp-paper\",\n"
       << "  \"warm_s\": " << warm_s << ",\n"
       << "  \"measure_s\": " << measure_s << ",\n"
-      << "  \"event_path_threads\": " << threads << ",\n"
       << "  \"results\": [\n"
       << rows << "\n"
       << "  ],\n"

@@ -21,12 +21,6 @@ class KnapsackSdsrpPolicy final : public BufferPolicy {
   // Density inherits SDSRP's cache-safety: it divides the inner U_i by
   // the (immutable) message size.
   bool cache_safe() const override { return true; }
-  // Density consumes the inner SDSRP memo, so prewarm routes through the
-  // inner policy's warm buffer.
-  bool prewarm_worthwhile() const override { return true; }
-  void prewarm_node(const PolicyContext& ctx) const override {
-    inner_.prewarm_node(ctx);
-  }
   bool uses_dropped_list() const override { return true; }
   bool rejects_previously_dropped() const override {
     return inner_.rejects_previously_dropped();

@@ -50,12 +50,6 @@ class SdsrpPolicy final : public ScalarBufferPolicy {
   // stale beyond the refresh quantum. The oracle variant below is NOT
   // cache-safe: registry updates carry no node-local signal.
   bool cache_safe() const override { return true; }
-  // U_i (spray-tree recursion + censored λ) is the expensive priority in
-  // the codebase — exactly what the parallel prewarm exists for. The
-  // computation reads only node-local state (estimator, dropped list,
-  // the message's spray lineage), so per-node prewarm shards are
-  // race-free.
-  bool prewarm_worthwhile() const override { return true; }
   bool uses_dropped_list() const override { return true; }
   bool rejects_previously_dropped() const override {
     return params_.reject_previously_dropped;

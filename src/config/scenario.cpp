@@ -60,8 +60,8 @@ Settings Scenario::to_settings() const {
   s.set("World.priorityCache", world.priority_cache ? "true" : "false");
   put_d("World.priorityRefreshS", world.priority_refresh_s);
   s.set("World.legacyStep", world.legacy_step ? "true" : "false");
-  // 0 = serial. Any value yields bit-identical digest trajectories
-  // (DESIGN.md §11), so the key is carried in checkpoints harmlessly.
+  // Inert (the step is serial; DESIGN.md §6), but still written so
+  // settings text, scenario fingerprints and checkpoints stay byte-stable.
   put_i("Parallel.threads", static_cast<std::int64_t>(world.threads));
   put_i("World.nodes", static_cast<std::int64_t>(n_nodes));
   put_i("World.bufferBytes", buffer_capacity);

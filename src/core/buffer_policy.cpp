@@ -18,26 +18,9 @@ double ScalarBufferPolicy::cached_priority(const Message& m,
   if (cache.lookup(m.id, ctx.now, ctx.priority_refresh_s, &cached)) {
     return cached;
   }
-  // Memo miss: consume a warm prefetched value when one exists for this
-  // exact instant (it is what priority() would return — warm entries die
-  // on every invalidation event), else compute. Either way the memo ends
-  // up holding exactly what the lazy path would have stored.
-  double p = 0.0;
-  if (!cache.warm_lookup(m.id, ctx.now, &p)) p = priority(m, ctx);
+  const double p = priority(m, ctx);
   cache.store(m.id, ctx.now, p);
   return p;
-}
-
-void ScalarBufferPolicy::prewarm_node(const PolicyContext& ctx) const {
-  if (!ctx.cache_enabled || ctx.node == nullptr || !cache_safe()) return;
-  PriorityCache& cache = ctx.node->priority_cache();
-  cache.warm_reset(ctx.now);
-  double cached = 0.0;
-  for (const Message& m : ctx.node->buffer().messages()) {
-    if (m.expired(ctx.now)) continue;  // about to be purged; rated fresh if not
-    if (cache.lookup(m.id, ctx.now, ctx.priority_refresh_s, &cached)) continue;
-    cache.warm_store(m.id, priority(m, ctx));
-  }
 }
 
 void ScalarBufferPolicy::order_for_sending(std::vector<const Message*>& msgs,

@@ -68,21 +68,6 @@ class BufferPolicy {
       const std::vector<const Message*>& droppable, const Message* newcomer,
       const PolicyContext& ctx) const = 0;
 
-  /// Parallel priority prewarm (DESIGN.md §11): computes the priorities
-  /// `ctx.node` would derive lazily this instant into the node's
-  /// PriorityCache *warm side-buffer*. Touches only node-local state, so
-  /// distinct nodes may prewarm on different threads concurrently; the
-  /// warm values are consumed on memo miss and are bit-identical to the
-  /// lazy computation, so running (or skipping) the prewarm never changes
-  /// a decision. Default: no-op.
-  virtual void prewarm_node(const PolicyContext& ctx) const { (void)ctx; }
-
-  /// True if prewarm_node does useful work for this policy — i.e. its
-  /// priorities are expensive enough that batching them off the serial
-  /// decision phase pays for the scheduling overhead. Gate, not a
-  /// correctness property.
-  virtual bool prewarm_worthwhile() const { return false; }
-
   /// True if this policy's decisions are a pure deterministic function of
   /// (message, ctx.node state, ctx.now) with a *total*, set-independent
   /// ordering — the contract that makes per-node priority memoization and
@@ -123,10 +108,6 @@ class ScalarBufferPolicy : public BufferPolicy {
   /// keyed by message id, and only residents receive invalidation events;
   /// newcomers under admission must be rated with plain priority().
   double cached_priority(const Message& m, const PolicyContext& ctx) const;
-
-  /// Rates every resident message whose memo entry is missing or stale
-  /// and parks the results in the warm side-buffer (see BufferPolicy).
-  void prewarm_node(const PolicyContext& ctx) const override;
 
   void order_for_sending(std::vector<const Message*>& msgs,
                          const PolicyContext& ctx) const override;

@@ -11,22 +11,18 @@ void PriorityCache::bump_epoch() {
   ++stamp_;
   entries_.clear();
   order_valid_ = false;
-  warm_.clear();  // node-wide input changed: warm values are wrong now
 }
 
 void PriorityCache::invalidate(MessageId id) {
   ++stamp_;
   entries_.erase(id);
   order_valid_ = false;
-  warm_.erase(id);  // this message's warm value is wrong now
 }
 
 void PriorityCache::clear_transient() {
   entries_.clear();
   order_.clear();
   order_valid_ = false;
-  warm_.clear();
-  warm_at_ = -1.0;
 }
 
 bool PriorityCache::lookup(MessageId id, SimTime now, double refresh_s,
@@ -40,23 +36,6 @@ bool PriorityCache::lookup(MessageId id, SimTime now, double refresh_s,
 
 void PriorityCache::store(MessageId id, SimTime now, double priority) {
   entries_[id] = Entry{priority, now};
-}
-
-void PriorityCache::warm_reset(SimTime now) {
-  warm_.clear();  // keeps buckets: no steady-state allocation
-  warm_at_ = now;
-}
-
-void PriorityCache::warm_store(MessageId id, double priority) {
-  warm_[id] = priority;
-}
-
-bool PriorityCache::warm_lookup(MessageId id, SimTime now, double* out) const {
-  if (warm_at_ != now) return false;  // stale batch from an earlier step
-  const auto it = warm_.find(id);
-  if (it == warm_.end()) return false;
-  *out = it->second;
-  return true;
 }
 
 const std::vector<MessageId>* PriorityCache::send_order(

@@ -77,22 +77,6 @@ class PriorityCache {
               double* out) const;
   void store(MessageId id, SimTime now, double priority);
 
-  // --- warm prefetch side-buffer (DESIGN.md §11) ---
-  // Parallel prewarm computes priorities ahead of the serial decision
-  // phase into this non-semantic buffer; `cached_priority` consumes a
-  // warm value only on a memo miss and stores it exactly where the lazy
-  // path would have stored its own computation. A warm value is valid
-  // only at the instant it was computed and dies on any invalidation
-  // event, so it is always equal to what the lazy path would compute —
-  // the memo (and hence every decision) is bit-identical whether the
-  // prewarm ran or not. Never serialized.
-  /// Starts a prewarm batch at `now`, discarding earlier warm values.
-  void warm_reset(SimTime now);
-  void warm_store(MessageId id, double priority);
-  /// True and `*out` filled if a warm value computed exactly at `now`
-  /// exists for `id`.
-  bool warm_lookup(MessageId id, SimTime now, double* out) const;
-
   /// The memoized send order, or nullptr when it is missing/stale.
   const std::vector<MessageId>* send_order(SimTime now, double refresh_s,
                                            std::uint64_t buffer_revision) const;
@@ -117,8 +101,6 @@ class PriorityCache {
   std::uint64_t epoch_ = 0;
   std::uint64_t stamp_ = 0;
   std::unordered_map<MessageId, Entry> entries_;
-  std::unordered_map<MessageId, double> warm_;  ///< prefetch, never saved
-  SimTime warm_at_ = -1.0;  ///< instant the warm batch was computed at
 
   std::vector<MessageId> order_;
   SimTime order_at_ = 0.0;

@@ -11,19 +11,8 @@
 namespace dtn {
 
 namespace {
-/// Indices per executor chunk in the sharded step phases. Determinism
-/// never depends on the grain (chunks only batch independent per-index
-/// work), so these are pure tuning knobs.
-constexpr std::size_t kMobilityGrain = 64;
-constexpr std::size_t kPrewarmGrain = 8;
-constexpr std::size_t kTtlGrain = 64;
-/// Contact-event groups per chunk in the hoisted estimator pass.
-constexpr std::size_t kImtGrain = 4;
-/// Below this many due TTL entries the serial checks are cheaper than
-/// fanning the batch out.
-constexpr std::size_t kTtlParallelMin = 64;
-/// Most steps a quiet batch may fuse (bounds the per-chunk stack array
-/// in the fused mobility kernel).
+/// Most steps a quiet batch may fuse (bounds the per-step displacement
+/// maxima array in run_quiet_batch).
 constexpr std::size_t kQuietBatchMax = 32;
 
 inline double wall_now() {
@@ -42,58 +31,6 @@ World::World(const WorldConfig& cfg) : cfg_(cfg), tracker_(cfg.range) {
   DTN_REQUIRE(cfg.priority_refresh_s >= 0.0,
               "World: priority_refresh_s must be non-negative");
   next_occupancy_sample_ = cfg.occupancy_sample_interval;
-  if (cfg_.threads > 0) {
-    exec_ = std::make_unique<TaskExecutor>(cfg_.threads);
-    tracker_.set_executor(exec_.get());
-  }
-  mobility_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      MobilityModel* m = mobility_raw_[i];
-      m->advance(cfg_.step);
-      positions_[i] = m->position();
-    }
-  };
-  prewarm_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const Node& n = *nodes_[prewarm_nodes_[k]];
-      policy_->prewarm_node(ctx_for(n));
-    }
-  };
-  ttl_classify_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const ExpiryEvent& e = due_scratch_[k];
-      const Node& n = *nodes_[e.node];
-      ttl_verdicts_[k] = TtlVerdict{n.buffer().has(e.msg), n.is_pinned(e.msg)};
-    }
-  };
-  // Fused k-step mobility advance for quiet batches. Chunk-robust: the
-  // inline for_each path hands the whole [0, n) range as one call, so the
-  // kernel re-derives kMobilityGrain-sized chunks itself (dispatch chunks
-  // are always grain-aligned, making the two tilings coincide).
-  quiet_kernel_ = [this](std::size_t begin, std::size_t end) {
-    const std::vector<Vec2>& prev = tracker_.prev_positions();
-    for (std::size_t c = begin / kMobilityGrain; c * kMobilityGrain < end;
-         ++c) {
-      const std::size_t b = c * kMobilityGrain;
-      const std::size_t e = std::min(end, b + kMobilityGrain);
-      double maxd2[kQuietBatchMax];
-      for (std::size_t j = 0; j < quiet_k_; ++j) maxd2[j] = 0.0;
-      for (std::size_t i = b; i < e; ++i) {
-        MobilityModel* m = mobility_raw_[i];
-        Vec2 p = prev[i];
-        for (std::size_t j = 0; j < quiet_k_; ++j) {
-          m->advance(cfg_.step);
-          const Vec2 q = m->position();
-          maxd2[j] = std::max(maxd2[j], distance2(p, q));
-          p = q;
-        }
-        positions_[i] = p;
-      }
-      for (std::size_t j = 0; j < quiet_k_; ++j) {
-        quiet_maxd2_[j * quiet_chunks_ + c] = maxd2[j];
-      }
-    }
-  };
 }
 
 void World::set_router(std::unique_ptr<Router> router) {
@@ -231,64 +168,19 @@ PolicyContext World::ctx_for(const Node& n) const {
 
 void World::advance_mobility() {
   // Advancing also samples the post-move position into positions_ — the
-  // tracker input. Each mobility model owns its private RNG stream, so
-  // per-node advancement is order-free and safe to shard.
+  // tracker input.
   const std::size_t n = nodes_.size();
   positions_.resize(n);
-  if (exec_ != nullptr) {
-    exec_->for_each(n, kMobilityGrain, mobility_kernel_);
-  } else {
-    mobility_kernel_(0, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    MobilityModel* m = mobility_raw_[i];
+    m->advance(cfg_.step);
+    positions_[i] = m->position();
   }
-}
-
-bool World::prewarm_enabled() const {
-  return exec_ != nullptr && cfg_.priority_cache && policy_->cache_safe() &&
-         policy_->prewarm_worthwhile();
-}
-
-std::size_t World::build_prewarm_nodes() {
-  // Only nodes on an active contact face priority evaluations in the
-  // upcoming start_transfers phase. Shards are whole nodes, so each task
-  // writes only its own node's warm buffer — no shared mutable state.
-  prewarm_nodes_.clear();
-  for (const NodePair& p : active_contacts()) {
-    prewarm_nodes_.push_back(static_cast<NodeId>(p.first));
-    prewarm_nodes_.push_back(static_cast<NodeId>(p.second));
-  }
-  std::sort(prewarm_nodes_.begin(), prewarm_nodes_.end());
-  prewarm_nodes_.erase(
-      std::unique(prewarm_nodes_.begin(), prewarm_nodes_.end()),
-      prewarm_nodes_.end());
-  return prewarm_nodes_.size();
-}
-
-void World::prewarm_priorities() {
-  if (!prewarm_enabled()) return;
-  if (build_prewarm_nodes() == 0) return;
-  exec_->for_each(prewarm_nodes_.size(), kPrewarmGrain, prewarm_kernel_);
-}
-
-bool World::graph_eligible() const {
-  // The graph body requires the event-driven core (the legacy scans have
-  // no phase structure worth overlapping). Faults and observers are fine:
-  // every externally visible event fires from serial nodes — or the
-  // caller — in exact serial order.
-  return exec_ != nullptr && !cfg_.legacy_step;
 }
 
 void World::step() {
   DTN_REQUIRE(nodes_.size() >= 2, "World: need at least two nodes to run");
   if (!kinetics_configured_) configure_kinetics();
-  if (graph_eligible()) {
-    if (!graph_built_) build_step_graph();
-    step_graph();
-  } else {
-    step_serial();
-  }
-}
-
-void World::step_serial() {
   const bool prof = cfg_.profile_phases;
   double t0 = prof ? wall_now() : 0.0;
   const auto stamp = [&](double& acc) {
@@ -322,8 +214,6 @@ void World::step_serial() {
   stamp(profile_.events_s);
   purge_ttl();
   stamp(profile_.ttl_s);
-  prewarm_priorities();
-  stamp(profile_.prewarm_s);
   start_transfers();
   stamp(profile_.transfers_s);
   ++profile_.steps;
@@ -333,209 +223,6 @@ void World::step_serial() {
     next_occupancy_sample_ += cfg_.occupancy_sample_interval;
   }
   notify([this](WorldObserver& o) { o.on_step_end(*this); });
-}
-
-void World::build_step_graph() {
-  graph_built_ = true;
-  // Node ids are added in topological order; the single-lane drain then
-  // sweeps them in exact serial-phase order. Kernels capture only `this`.
-  g_mob_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          MobilityModel* m = mobility_raw_[i];
-          m->advance(cfg_.step);
-          positions_[i] = m->position();
-        }
-        if (mob_want_disp_) {
-          // Fused displacement reduce: the serial path's separate sweep
-          // in ContactTracker::update, folded into the mobility chunk.
-          // Graph chunks are grain-aligned, so begin / grain is the
-          // chunk index.
-          const std::vector<Vec2>& prev = tracker_.prev_positions();
-          double m2 = 0.0;
-          for (std::size_t i = begin; i < end; ++i) {
-            m2 = std::max(m2, distance2(prev[i], positions_[i]));
-          }
-          mob_chunk_maxd2_[begin / kMobilityGrain] = m2;
-        }
-      },
-      kMobilityGrain);
-  g_eta_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
-    pop_due_etas();
-  });
-  g_poll_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
-    // The generator's schedule depends only on its own state, never on
-    // this step's churn, so polling overlaps the contact pass. Admission
-    // stays serial (g_apply_).
-    if (gen_ != nullptr) {
-      gen_->poll(now_, traffic_scratch_);
-    } else {
-      traffic_scratch_.clear();
-    }
-  });
-  g_plan_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { plan_contacts(); }, {g_mob_});
-  g_track_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          tracker_.run_shard(s, positions_);
-        }
-      },
-      /*grain=*/1, {g_plan_});
-  g_merge_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { merge_contacts_and_shard_imt(); },
-      {g_track_});
-  g_imt_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) { run_imt_groups(begin, end); },
-      kImtGrain, {g_merge_});
-  g_apply_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { apply_step_events(); },
-      {g_imt_, g_eta_, g_poll_});
-  g_verdict_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) {
-        ttl_classify_kernel_(begin, end);
-      },
-      kTtlGrain, {g_apply_});
-  g_ttl_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) {
-        apply_ttl(ttl_parallel_);
-        std::size_t warm = 0;
-        if (prewarm_enabled()) warm = build_prewarm_nodes();
-        step_graph_.set_items(g_prewarm_, warm);
-      },
-      {g_verdict_});
-  g_prewarm_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) {
-        prewarm_kernel_(begin, end);
-      },
-      kPrewarmGrain, {g_ttl_});
-}
-
-void World::step_graph() {
-  const bool prof = cfg_.profile_phases;
-  now_ += cfg_.step;
-  const std::size_t n = nodes_.size();
-  positions_.resize(n);
-  step_graph_.set_items(g_mob_, n);
-  mob_want_disp_ = tracker_.wants_displacement(n);
-  if (mob_want_disp_) {
-    mob_chunk_maxd2_.assign((n + kMobilityGrain - 1) / kMobilityGrain, 0.0);
-  }
-  double t0 = prof ? wall_now() : 0.0;
-  exec_->run(step_graph_);
-  if (prof) {
-    const double t1 = wall_now();
-    profile_.dispatch_s += t1 - t0;
-    t0 = t1;
-  }
-  start_transfers();
-  if (prof) profile_.transfers_s += wall_now() - t0;
-  ++profile_.steps;
-
-  if (now_ + 1e-9 >= next_occupancy_sample_) {
-    sample_occupancy();
-    next_occupancy_sample_ += cfg_.occupancy_sample_interval;
-  }
-  notify([this](WorldObserver& o) { o.on_step_end(*this); });
-}
-
-void World::plan_contacts() {
-  // Exact replication of the serial displacement reduce: max over nodes
-  // in index order == max over chunk maxima in chunk order (max is
-  // exactly associative), so the skip/full-pass decision and the charged
-  // budget are bit-identical.
-  double max_d2 = 0.0;
-  if (mob_want_disp_) {
-    for (double m2 : mob_chunk_maxd2_) max_d2 = std::max(max_d2, m2);
-  }
-  tracker_.plan_update(positions_, max_d2);
-  step_graph_.set_items(g_track_, tracker_.stage_shards());
-}
-
-void World::merge_contacts_and_shard_imt() {
-  step_churn_ = &tracker_.finish_update();
-  imt_events_.clear();
-  imt_group_begin_.clear();
-  imt_prehandled_ = false;
-  // Hoisting the note_contact_* calls out of the serial churn loop is
-  // legal when (a) the churn handlers are the tracker's own (no fault
-  // layer re-deriving the live set) and (b) no observer can read another
-  // node's estimator mid-churn. Each node's events keep their serial
-  // relative order (seq), and estimator + cache-stamp state is node-local,
-  // so the pre-pass commutes with everything the serial loop interleaves.
-  const bool hoist =
-      fault_ == nullptr && observers_.empty() &&
-      !(step_churn_->went_down.empty() && step_churn_->went_up.empty());
-  if (!hoist) {
-    step_graph_.set_items(g_imt_, 0);
-    return;
-  }
-  std::uint32_t seq = 0;
-  for (const NodePair& p : step_churn_->went_down) {
-    imt_events_.push_back({static_cast<NodeId>(p.first), seq++,
-                           static_cast<NodeId>(p.second), false});
-    imt_events_.push_back({static_cast<NodeId>(p.second), seq++,
-                           static_cast<NodeId>(p.first), false});
-  }
-  for (const NodePair& p : step_churn_->went_up) {
-    imt_events_.push_back({static_cast<NodeId>(p.first), seq++,
-                           static_cast<NodeId>(p.second), true});
-    imt_events_.push_back({static_cast<NodeId>(p.second), seq++,
-                           static_cast<NodeId>(p.first), true});
-  }
-  // (node, seq) keys are unique, so the unstable sort is deterministic;
-  // within a node, ascending seq IS the serial emission order.
-  std::sort(imt_events_.begin(), imt_events_.end(),
-            [](const ImtEvent& a, const ImtEvent& b) {
-              return std::tie(a.node, a.seq) < std::tie(b.node, b.seq);
-            });
-  for (std::size_t i = 0; i < imt_events_.size(); ++i) {
-    if (i == 0 || imt_events_[i].node != imt_events_[i - 1].node) {
-      imt_group_begin_.push_back(i);
-    }
-  }
-  imt_group_begin_.push_back(imt_events_.size());
-  imt_prehandled_ = true;
-  step_graph_.set_items(g_imt_, imt_group_begin_.size() - 1);
-}
-
-void World::run_imt_groups(std::size_t begin, std::size_t end) {
-  for (std::size_t g = begin; g < end; ++g) {
-    for (std::size_t k = imt_group_begin_[g]; k < imt_group_begin_[g + 1];
-         ++k) {
-      const ImtEvent& ev = imt_events_[k];
-      Node& n = *nodes_[ev.node];
-      if (ev.up) {
-        n.note_contact_start(ev.peer, now_);
-      } else {
-        n.note_contact_end(ev.peer, now_);
-      }
-    }
-  }
-}
-
-void World::apply_step_events() {
-  if (fault_ == nullptr) {
-    for (const NodePair& p : step_churn_->went_down) process_link_down(p);
-    for (const NodePair& p : step_churn_->went_up) process_link_up(p);
-    imt_prehandled_ = false;
-  } else {
-    // Same structure as step_serial: fault events first, then the
-    // live-set diff replaces the raw tracker churn.
-    apply_fault_events();
-    refresh_live_contacts();
-  }
-  apply_completions();
-  if (gen_ != nullptr) admit_traffic();
-  drain_due_ttl();
-  ttl_parallel_ =
-      !due_scratch_.empty() && due_scratch_.size() >= kTtlParallelMin;
-  if (ttl_parallel_) {
-    ttl_verdicts_.resize(due_scratch_.size());
-    step_graph_.set_items(g_verdict_, due_scratch_.size());
-  } else {
-    step_graph_.set_items(g_verdict_, 0);
-  }
 }
 
 void World::run_until(SimTime t) {
@@ -557,8 +244,7 @@ std::size_t World::quiet_batch_limit(SimTime t) const {
   // (c) fire no completion / expiry / traffic / occupancy event, and
   // (d) publish nothing (no observers). Such a step's entire effect is
   // advancing mobility and charging the kinetic budget — which
-  // run_quiet_batch replays exactly, so the decision is state-pure and
-  // identical at any thread count.
+  // run_quiet_batch replays exactly, so the decision is state-pure.
   if (cfg_.legacy_step || fault_ != nullptr || !kinetics_configured_) return 0;
   if (!observers_.empty() || nodes_.size() < 2) return 0;
   const std::size_t n = nodes_.size();
@@ -605,13 +291,18 @@ std::size_t World::quiet_batch_limit(SimTime t) const {
 void World::run_quiet_batch(std::size_t k) {
   const std::size_t n = nodes_.size();
   positions_.resize(n);
-  quiet_k_ = k;
-  quiet_chunks_ = (n + kMobilityGrain - 1) / kMobilityGrain;
-  quiet_maxd2_.assign(k * quiet_chunks_, 0.0);
-  if (exec_ != nullptr) {
-    exec_->for_each(n, kMobilityGrain, quiet_kernel_);
-  } else {
-    quiet_kernel_(0, n);
+  double maxd2[kQuietBatchMax] = {};
+  const std::vector<Vec2>& prev = tracker_.prev_positions();
+  for (std::size_t i = 0; i < n; ++i) {
+    MobilityModel* m = mobility_raw_[i];
+    Vec2 p = prev[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      m->advance(cfg_.step);
+      const Vec2 q = m->position();
+      maxd2[j] = std::max(maxd2[j], distance2(p, q));
+      p = q;
+    }
+    positions_[i] = p;
   }
   // Charge each fused step's exact observed displacement in step order —
   // the same (exactly associative) max reduce and the same budget
@@ -620,11 +311,7 @@ void World::run_quiet_batch(std::size_t k) {
   // a mobility model overshooting its advertised bound into a crash
   // instead of silent contact corruption.
   for (std::size_t j = 0; j < k; ++j) {
-    double max_d2 = 0.0;
-    for (std::size_t c = 0; c < quiet_chunks_; ++c) {
-      max_d2 = std::max(max_d2, quiet_maxd2_[j * quiet_chunks_ + c]);
-    }
-    tracker_.charge_quiet_step(max_d2);
+    tracker_.charge_quiet_step(maxd2[j]);
     now_ += cfg_.step;  // repeated add: bit-exact vs. k unbatched steps
   }
   tracker_.commit_positions(positions_);
@@ -780,10 +467,8 @@ void World::process_link_down(const NodePair& p) {
   Node& b = node(static_cast<NodeId>(p.second));
   idle_memo_.erase(a.id(), b.id());
   idle_memo_.erase(b.id(), a.id());
-  if (!imt_prehandled_) {
-    a.note_contact_end(p.second, now_);
-    b.note_contact_end(p.first, now_);
-  }
+  a.note_contact_end(p.second, now_);
+  b.note_contact_end(p.first, now_);
   notify([&p, this](WorldObserver& o) { o.on_link_down(p, now_); });
   if (cfg_.collect_intermeeting) {
     pair_last_end_[p] = now_;
@@ -798,13 +483,8 @@ void World::process_link_down(const NodePair& p) {
 void World::process_link_up(const NodePair& p) {
   Node& a = node(static_cast<NodeId>(p.first));
   Node& b = node(static_cast<NodeId>(p.second));
-  // The estimator updates may have been hoisted into the graph's
-  // parallel contact-event pass (merge_contacts_and_shard_imt); the rest
-  // of the handler always runs here, in serial churn order.
-  if (!imt_prehandled_) {
-    a.note_contact_start(p.second, now_);
-    b.note_contact_start(p.first, now_);
-  }
+  a.note_contact_start(p.second, now_);
+  b.note_contact_start(p.first, now_);
   router_->on_link_up(a, b, now_);
   if (cfg_.ack_gossip) {
     for (MessageId id : b.known_delivered()) a.learn_delivered(id);
@@ -887,26 +567,10 @@ void World::complete_due_transfers() {
   // Interleaving removal with handling is equivalent to the legacy
   // remove-all-then-handle: a completion handler never reads other
   // in-flight transfers, and pinned sender copies are eviction-immune.
-  pop_due_etas();
-  apply_completions();
-}
-
-void World::pop_due_etas() {
-  // Validity is NOT checked here: the graph pops before link churn runs,
-  // and an entry invalidated by a churn abort must be discarded exactly
-  // as the interleaved serial drain would. Nothing between this pop and
-  // apply_completions pushes into the heap (only start_transfers does),
-  // so popping early is order-equivalent.
-  eta_due_scratch_.clear();
   while (!eta_heap_.empty() && eta_heap_.front().eta <= now_ + 1e-9) {
     std::pop_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
-    eta_due_scratch_.push_back(eta_heap_.back());
+    const EtaEvent e = eta_heap_.back();
     eta_heap_.pop_back();
-  }
-}
-
-void World::apply_completions() {
-  for (const EtaEvent& e : eta_due_scratch_) {
     const std::int64_t idx = outgoing_[e.from];
     if (idx < 0 || transfers_[static_cast<std::size_t>(idx)].seq != e.seq) {
       continue;  // tombstone
@@ -1021,10 +685,6 @@ void World::handle_completion(const Transfer& t) {
 
 void World::generate_traffic() {
   gen_->poll(now_, traffic_scratch_);
-  admit_traffic();
-}
-
-void World::admit_traffic() {
   for (Message& m : traffic_scratch_) {
     ++stats_.created;
     const MessageId id = m.id;
@@ -1070,62 +730,18 @@ void World::purge_ttl() {
   // Event-driven path: only due entries are touched. A popped entry may
   // be stale (the copy was dropped, forwarded away or already purged —
   // lazy invalidation) or pinned by an in-flight transfer (the legacy
-  // scan skips those too; re-queue and retry next step). Per-step purge
-  // *order* differs from the legacy per-node scan, but every removal
-  // lands in order-insensitive state (buffer membership, registry sets,
-  // counters), so the end-of-step digest is identical.
-  //
-  // The due batch is drained first and applied second so the resident /
-  // pinned classification — the only per-entry reads — can fan out over
-  // the executor. The verdicts stay valid through the serial apply: a
-  // purge only changes `has` for its own (node, msg), and duplicate
-  // entries for one (node, msg) carry the same expiry (created + ttl is
-  // immutable per id), so they pop adjacently and inherit the first
-  // entry's outcome exactly as the interleaved serial loop would produce.
-  drain_due_ttl();
-  if (due_scratch_.empty()) return;
-  const bool parallel =
-      exec_ != nullptr && due_scratch_.size() >= kTtlParallelMin;
-  if (parallel) {
-    ttl_verdicts_.resize(due_scratch_.size());
-    exec_->for_each(due_scratch_.size(), kTtlGrain, ttl_classify_kernel_);
-  }
-  apply_ttl(parallel);
-}
-
-void World::drain_due_ttl() {
+  // scan skips those too; re-queue after the drain and retry next step).
+  // Per-step purge *order* differs from the legacy per-node scan, but
+  // every removal lands in order-insensitive state (buffer membership,
+  // registry sets, counters), so the end-of-step digest is identical.
   expiry_deferred_.clear();
-  due_scratch_.clear();
   while (!expiry_heap_.empty() && expiry_heap_.front().expiry <= now_) {
     std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), &expiry_after);
-    due_scratch_.push_back(expiry_heap_.back());
+    const ExpiryEvent e = expiry_heap_.back();
     expiry_heap_.pop_back();
-  }
-}
-
-void World::apply_ttl(bool parallel) {
-  enum class Outcome { kStale, kDeferred, kPurged };
-  Outcome prev = Outcome::kStale;
-  for (std::size_t k = 0; k < due_scratch_.size(); ++k) {
-    const ExpiryEvent& e = due_scratch_[k];
-    if (k > 0 && due_scratch_[k - 1].node == e.node &&
-        due_scratch_[k - 1].msg == e.msg) {
-      // Duplicate entry: the serial loop would re-observe the first
-      // entry's effect — gone (stale) after a purge or a stale skip,
-      // still pinned after a deferral.
-      if (prev == Outcome::kDeferred) expiry_deferred_.push_back(e);
-      continue;
-    }
     Node& n = *nodes_[e.node];
-    const bool has = parallel ? ttl_verdicts_[k].has : n.buffer().has(e.msg);
-    if (!has) {
-      prev = Outcome::kStale;
-      continue;
-    }
-    const bool pinned =
-        parallel ? ttl_verdicts_[k].pinned : n.is_pinned(e.msg);
-    if (pinned) {
-      prev = Outcome::kDeferred;
+    if (!n.buffer().has(e.msg)) continue;  // stale
+    if (n.is_pinned(e.msg)) {
       expiry_deferred_.push_back(e);
       continue;
     }
@@ -1134,7 +750,6 @@ void World::apply_ttl(bool parallel) {
     registry_.on_copy_removed(e.msg, e.node, /*dropped=*/false);
     ++stats_.ttl_expired;
     notify([&](WorldObserver& o) { o.on_ttl_expired(e.node, dead, now_); });
-    prev = Outcome::kPurged;
   }
   for (const ExpiryEvent& e : expiry_deferred_) {
     push_expiry(e.node, e.expiry, e.msg);

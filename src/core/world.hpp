@@ -29,7 +29,6 @@
 #include "src/core/types.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/net/contact_tracker.hpp"
-#include "src/util/task_graph.hpp"
 #include "src/util/units.hpp"
 
 namespace dtn {
@@ -64,17 +63,9 @@ struct WorldConfig {
   /// `World::digest()` trajectories match bit-for-bit — so this exists
   /// for the equivalence tests and benchmarks, not as a feature switch.
   bool legacy_step = false;
-  /// Intra-step parallelism (DESIGN.md §11/§16): execution-lane count
-  /// (including the caller) for the persistent-worker task-graph step
-  /// executor — mobility advance, contact candidate enumeration,
-  /// watch-pair rechecks, contact-event estimator updates, priority
-  /// prewarm, TTL candidate classification all become dependency nodes
-  /// of one per-step graph dispatched with a single epoch bump.
-  /// 0 (the default) runs the serial reference step loop; any value
-  /// produces bit-identical digest trajectories — the parallel phases
-  /// only reorder *computation*, never *application*, and every merge
-  /// is a deterministic concatenation or an exact min/max reduction.
-  /// Scenario key: `Parallel.threads`.
+  /// Inert: every step runs one serial body; parallelism lives across
+  /// runs (DESIGN.md §6, §11). Carries the `Parallel.threads` scenario
+  /// key so scenario text and checkpoints round-trip unchanged.
   std::size_t threads = 0;
   /// Per-phase wall-clock accounting (PhaseProfile, bench support). Off
   /// by default: the step loop carries zero timing overhead.
@@ -82,17 +73,15 @@ struct WorldConfig {
 };
 
 /// Cumulative wall-clock seconds per step phase (profile_phases only).
-/// The serial path stamps the six phases individually; the task-graph
-/// path folds the graph-resident phases into dispatch_s (the phases
-/// overlap in time there, so per-phase walls would double-count).
+/// Quiet-batched steps (run_until) bypass step() and are not counted.
 struct PhaseProfile {
-  double mobility_s = 0.0;   ///< mobility advance (serial path)
-  double contacts_s = 0.0;   ///< tracker update + link churn (serial path)
-  double events_s = 0.0;     ///< completions + traffic (serial path)
-  double ttl_s = 0.0;        ///< TTL purge (serial path)
-  double prewarm_s = 0.0;    ///< priority prewarm (serial path)
-  double transfers_s = 0.0;  ///< start_transfers (both paths)
-  double dispatch_s = 0.0;   ///< task-graph run(), graph path only
+  double mobility_s = 0.0;   ///< mobility advance
+  double contacts_s = 0.0;   ///< tracker update + link churn
+  double events_s = 0.0;     ///< completions + traffic
+  double ttl_s = 0.0;        ///< TTL purge
+  double prewarm_s = 0.0;    ///< inert, always 0 (kept for existing readers)
+  double transfers_s = 0.0;  ///< start_transfers
+  double dispatch_s = 0.0;   ///< inert, always 0 (kept for existing readers)
   std::uint64_t steps = 0;
 };
 
@@ -215,43 +204,7 @@ class World {
   static bool expiry_after(const ExpiryEvent& a, const ExpiryEvent& b);
   static bool eta_after(const EtaEvent& a, const EtaEvent& b);
 
-  // --- step bodies (dispatch in step()) ---
-  /// The serial reference step: phases run strictly in order. Used when
-  /// cfg.threads == 0 and for the legacy (scan-based) step variant; with
-  /// an executor attached, the mobility / tracker / TTL / prewarm phases
-  /// still fan out via for_each, but every phase is a barrier.
-  void step_serial();
-  /// The task-graph step (DESIGN.md §16): the same phases as dependency
-  /// nodes of one graph dispatched with a single epoch bump, so
-  /// independent phases overlap instead of barriering. Decision- and
-  /// digest-identical to step_serial at any lane count.
-  void step_graph();
-  /// Builds the step graph once (kernels capture `this`; per-step item
-  /// counts are refreshed by the planning nodes via set_items).
-  void build_step_graph();
-  /// True when the step graph may run this step: event-driven core, no
-  /// faults. (Observers are fine: every observer-visible event fires from
-  /// serial nodes or the caller in serial order.)
-  bool graph_eligible() const;
-  // Graph-node bodies (see build_step_graph for the dependency shape).
-  void plan_contacts();                 ///< g_plan_: reduce + tracker plan
-  void merge_contacts_and_shard_imt();  ///< g_merge_
-  void run_imt_groups(std::size_t begin, std::size_t end);  ///< g_imt_
-  void apply_step_events();             ///< g_apply_
-
   void advance_mobility();
-  /// Parallel-mode only: batch-computes the priorities the upcoming
-  /// serial start_transfers phase would derive lazily, sharded per node,
-  /// into each node's PriorityCache warm buffer (consumed on memo miss,
-  /// decision-identical either way). No-op when serial, cache off, or the
-  /// policy opts out.
-  void prewarm_priorities();
-  /// True when the prewarm node is worth dispatching (cache on, policy
-  /// cache-safe, contacts exist). Shared gate for both step bodies.
-  bool prewarm_enabled() const;
-  /// Rebuilds prewarm_nodes_ (sorted unique endpoints of the active
-  /// contact set); returns its size.
-  std::size_t build_prewarm_nodes();
   void process_link_down(const NodePair& p);
   void process_link_up(const NodePair& p);
   void abort_transfers_on(const NodePair& p);
@@ -260,22 +213,6 @@ class World {
   void handle_completion(const Transfer& t);
   void generate_traffic();
   void purge_ttl();
-  // --- event-phase helpers shared by both step bodies ---
-  /// Pops every eta-heap entry due at now_ (tombstones included) into
-  /// eta_due_scratch_ in heap-pop order. Safe to run before link churn:
-  /// aborts never touch the heap, and validity (outgoing_/seq match) is
-  /// checked at apply time, exactly like the interleaved serial drain.
-  void pop_due_etas();
-  /// Applies eta_due_scratch_ in pop order (the serial completion order).
-  void apply_completions();
-  /// Admits traffic_scratch_ (filled by MessageGenerator::poll) in order.
-  void admit_traffic();
-  /// Pops every expiry-heap entry due at now_ into due_scratch_.
-  void drain_due_ttl();
-  /// Applies the due batch in pop order; when `parallel`, per-entry
-  /// verdicts come from ttl_verdicts_ (filled by the classify node),
-  /// otherwise they are probed inline. Identical outcomes either way.
-  void apply_ttl(bool parallel);
   void start_transfers();
   void try_start(NodeId from, NodeId to);
   void handle_drop(Node& n, const Message& m);
@@ -320,10 +257,11 @@ class World {
   /// worst-case motion, no transfer/expiry/traffic/occupancy deadline
   /// inside the window. 0 disables batching for this iteration.
   std::size_t quiet_batch_limit(SimTime t) const;
-  /// Advances mobility k steps fused in one parallel sweep, charging the
-  /// tracker's kinetic budget per step with the exact per-step observed
-  /// displacement — updates_/budget trajectories are bit-identical to k
-  /// unbatched steps (which would each early-out everywhere else).
+  /// Advances mobility k steps fused in one sweep over the fleet,
+  /// charging the tracker's kinetic budget per step with the exact
+  /// per-step observed displacement — updates_/budget trajectories are
+  /// bit-identical to k unbatched steps (which would each early-out
+  /// everywhere else).
   void run_quiet_batch(std::size_t k);
 
   template <typename Fn>
@@ -332,10 +270,6 @@ class World {
   }
 
   WorldConfig cfg_;
-  /// Persistent-worker executor for the intra-step parallel phases and
-  /// the step task graph; nullptr when cfg_.threads == 0 (the serial
-  /// reference path).
-  std::unique_ptr<TaskExecutor> exec_;
   SimTime now_ = 0.0;
   std::vector<WorldObserver*> observers_;
   std::unique_ptr<Router> router_;
@@ -374,60 +308,11 @@ class World {
   bool kinetics_configured_ = false;
 
   // --- step-loop scratch, hoisted so a steady-state step allocates
-  // nothing (asserted in test_parallel_step) ---
-  struct TtlVerdict {
-    bool has = false;
-    bool pinned = false;
-  };
-  std::vector<ExpiryEvent> due_scratch_;   ///< purge_ttl: due batch, pop order
-  std::vector<TtlVerdict> ttl_verdicts_;   ///< purge_ttl: parallel verdicts
-  std::vector<NodeId> prewarm_nodes_;      ///< prewarm: deduped contact nodes
+  // nothing (asserted in test_step_loop) ---
   std::vector<Message> traffic_scratch_;   ///< generate_traffic: poll output
   std::vector<Transfer> legacy_due_;       ///< legacy completion scan
   std::vector<NodeId> fault_senders_;      ///< apply_fault_events: sorted view
   std::vector<MessageId> doomed_scratch_;  ///< purge_acked / purge_on_reboot
-
-  // --- step task graph (DESIGN.md §16) ---
-  TaskGraph step_graph_;
-  bool graph_built_ = false;
-  int g_mob_ = -1;      ///< parallel: advance mobility (+ displacement max)
-  int g_eta_ = -1;      ///< serial:   pop due completion events
-  int g_poll_ = -1;     ///< serial:   poll the traffic generator
-  int g_plan_ = -1;     ///< serial:   displacement reduce + tracker plan
-  int g_track_ = -1;    ///< parallel: tracker shards
-  int g_merge_ = -1;    ///< serial:   tracker finish + imt event grouping
-  int g_imt_ = -1;      ///< parallel: per-node contact-estimator updates
-  int g_apply_ = -1;    ///< serial:   churn + completions + traffic + drain
-  int g_verdict_ = -1;  ///< parallel: TTL verdict classification
-  int g_ttl_ = -1;      ///< serial:   TTL apply + prewarm sizing
-  int g_prewarm_ = -1;  ///< parallel: priority prewarm
-  /// One contact-edge event for the hoisted estimator pass: node's view
-  /// of a link to peer going up/down. seq is the serial emission order;
-  /// groups sorted by (node, seq) preserve each node's event order.
-  struct ImtEvent {
-    NodeId node = kNoNode;
-    std::uint32_t seq = 0;
-    NodeId peer = kNoNode;
-    bool up = false;
-  };
-  bool mob_want_disp_ = false;             ///< g_mob_: record chunk maxima?
-  std::vector<double> mob_chunk_maxd2_;    ///< g_mob_: per-chunk max disp²
-  std::vector<EtaEvent> eta_due_scratch_;  ///< g_eta_ output, pop order
-  std::vector<ImtEvent> imt_events_;       ///< g_merge_ output
-  std::vector<std::size_t> imt_group_begin_;  ///< group starts + end sentinel
-  bool imt_prehandled_ = false;  ///< g_imt_ ran: churn skips note_contact_*
-  const ContactChurn* step_churn_ = nullptr;  ///< g_merge_ -> g_apply_
-  bool ttl_parallel_ = false;    ///< g_apply_ -> g_ttl_: use ttl_verdicts_
-  std::vector<double> quiet_maxd2_;  ///< quiet batch: step × chunk maxima
-  std::size_t quiet_k_ = 0;          ///< quiet batch: steps fused
-  std::size_t quiet_chunks_ = 0;     ///< quiet batch: chunk count
-  /// Preallocated dispatch kernels (set once in the constructor; capture
-  /// only `this`, so neither construction nor invocation allocates —
-  /// the zero-steady-state-allocation tests cover the whole step loop).
-  TaskKernel mobility_kernel_;     ///< advance + position sample
-  TaskKernel prewarm_kernel_;      ///< prewarm_nodes_ range
-  TaskKernel ttl_classify_kernel_; ///< due_scratch_ -> ttl_verdicts_
-  TaskKernel quiet_kernel_;        ///< fused k-step mobility advance
   PhaseProfile profile_;
 
   /// Keyed by the *directional* (from, to) pair, unlike the sorted

@@ -13,20 +13,10 @@ namespace {
 /// Full passes are sized so that, at the advertised bound, roughly this
 /// many updates can be skipped between passes (budget slack / 2·bound).
 constexpr double kSlackSteps = 32.0;
-/// Minimum work items per shard; below this the dispatch overhead
-/// dominates and the update runs as one shard. Determinism never depends
-/// on the shard count, so this is a pure tuning knob.
-constexpr std::size_t kMinShardItems = 64;
 }  // namespace
 
 ContactTracker::ContactTracker(double range) : range_(range), grid_(range) {
   DTN_REQUIRE(range > 0.0, "ContactTracker: range must be positive");
-  // Preallocated dispatch kernel for update(): for_each hands contiguous
-  // shard ranges; stage_positions_ carries the frame's positions without
-  // a per-call capture allocation.
-  shard_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) run_shard(s, *stage_positions_);
-  };
 }
 
 void ContactTracker::set_motion_bound(double bound) {
@@ -44,91 +34,59 @@ void ContactTracker::set_motion_bound(double bound) {
 }
 
 const ContactChurn& ContactTracker::update(const std::vector<Vec2>& positions) {
-  double max_d2 = 0.0;
-  if (wants_displacement(positions.size())) {
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      max_d2 = std::max(max_d2, distance2(prev_[i], positions[i]));
-    }
-  }
-  plan_update(positions, max_d2);
-  if (exec_ != nullptr && exec_->lanes() > 1 && stage_shards_ > 1) {
-    stage_positions_ = &positions;
-    exec_->for_each(stage_shards_, 1, shard_kernel_);
-    stage_positions_ = nullptr;
-  } else {
-    for (std::size_t s = 0; s < stage_shards_; ++s) run_shard(s, positions);
-  }
-  return finish_update();
-}
-
-std::size_t ContactTracker::shard_count(std::size_t n) const {
-  if (exec_ == nullptr || exec_->lanes() <= 1) return 1;
-  // At least kMinShardItems of work per shard, at most 2 shards per
-  // lane (a little imbalance slack without flooding the queue).
-  return std::min(exec_->lanes() * 2,
-                  std::max<std::size_t>(1, n / kMinShardItems));
-}
-
-void ContactTracker::plan_update(const std::vector<Vec2>& positions,
-                                 double max_d2) {
   ++updates_;
   churn_.went_up.clear();
   churn_.went_down.clear();
-  stage_skip_ = false;
+  bool skip = false;
   if (wants_displacement(positions.size())) {
     // No pairwise distance can change by more than twice the largest
     // single-node displacement. Charging the *observed* displacement (not
     // the advertised bound) keeps skipping correct under teleports.
+    double max_d2 = 0.0;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      max_d2 = std::max(max_d2, distance2(prev_[i], positions[i]));
+    }
     const double spent = 2.0 * std::sqrt(max_d2);
     if (spent + kBudgetEps <= budget_) {
       budget_ -= spent;
-      stage_skip_ = true;  // only watch pairs can have changed status
+      skip = true;  // only watch pairs can have changed status
     }
   }
   prev_ = positions;
   have_prev_ = true;
-  std::size_t items;
-  if (stage_skip_) {
-    items = watch_.size();
+  if (skip) {
+    recheck_watch(positions);
   } else {
-    ++full_passes_;
-    grid_.rebuild(positions);
-    next_.clear();
-    watch_.clear();
-    items = positions.size();
+    full_pass(positions);
   }
-  stage_shards_ = shard_count(items);
-  if (shards_.size() < stage_shards_) shards_.resize(stage_shards_);
+  return churn_;
 }
 
-void ContactTracker::run_shard(std::size_t s,
-                               const std::vector<Vec2>& positions) {
+void ContactTracker::recheck_watch(const std::vector<Vec2>& positions) {
+  // watch_ is sorted by (i, j), so the churn comes out sorted.
   const double r2 = range_ * range_;
-  Shard& sh = shards_[s];
-  if (stage_skip_) {
-    // Each shard owns a contiguous slice of watch_ (sorted by (i, j)):
-    // its status writes touch disjoint elements and its churn comes out
-    // locally sorted, so concatenating shards in order reproduces the
-    // serial churn exactly.
-    sh.ups.clear();
-    sh.downs.clear();
-    const std::size_t begin = s * watch_.size() / stage_shards_;
-    const std::size_t end = (s + 1) * watch_.size() / stage_shards_;
-    for (std::size_t w = begin; w < end; ++w) {
-      WatchPair& wp = watch_[w];
-      const bool in = distance2(positions[wp.i], positions[wp.j]) <= r2;
-      if (in == wp.in_contact) continue;
-      wp.in_contact = in;
-      (in ? sh.ups : sh.downs).emplace_back(wp.i, wp.j);
-    }
-    return;
+  for (WatchPair& wp : watch_) {
+    const bool in = distance2(positions[wp.i], positions[wp.j]) <= r2;
+    if (in == wp.in_contact) continue;
+    wp.in_contact = in;
+    (in ? churn_.went_up : churn_.went_down).emplace_back(wp.i, wp.j);
   }
-  // Full pass: enumerate a contiguous range of the outer node index i.
-  // Each shard's pairs are locally (i, j)-sorted and shards cover
-  // ascending disjoint i ranges, so concatenation reproduces the serial
-  // enumeration order; min/max margin reductions are exact (order-free),
-  // so the resulting kinetic budget is bit-identical at any shard count.
-  //
+  if (churn_.went_up.empty() && churn_.went_down.empty()) return;
+  next_.clear();
+  std::set_difference(current_.begin(), current_.end(),
+                      churn_.went_down.begin(), churn_.went_down.end(),
+                      std::back_inserter(next_));
+  const auto mid = static_cast<std::ptrdiff_t>(next_.size());
+  next_.insert(next_.end(), churn_.went_up.begin(), churn_.went_up.end());
+  std::inplace_merge(next_.begin(), next_.begin() + mid, next_.end());
+  current_.swap(next_);
+}
+
+void ContactTracker::full_pass(const std::vector<Vec2>& positions) {
+  ++full_passes_;
+  grid_.rebuild(positions);
+  next_.clear();
+  watch_.clear();
   // Pairs within ±slack/2 of the range boundary become watch pairs (exact
   // per-step recheck); the motion budget certifies everyone else: how
   // close the nearest non-watch non-contact pair is to entering range and
@@ -136,63 +94,29 @@ void ContactTracker::run_shard(std::size_t s,
   // keeps both margins >= slack/2, so skipping engages even when some
   // pair sits right at the boundary. Pairs beyond `reach` are not
   // enumerated; `reach` bounds the non-contact margin.
+  const double r2 = range_ * range_;
   const double reach = range_ + slack_;
   const double band = slack_ * 0.5;
   const double lo2 = (range_ - band) * (range_ - band);
   const double hi2 = (range_ + band) * (range_ + band);
-  sh.hits.clear();
-  sh.contacts.clear();
-  sh.watch.clear();
-  sh.min_nc2 = reach * reach;
-  sh.max_c2 = 0.0;
-  const std::size_t begin = s * positions.size() / stage_shards_;
-  const std::size_t end = (s + 1) * positions.size() / stage_shards_;
+  double min_nc2 = reach * reach;
+  double max_c2 = 0.0;
   // collect_pairs_within rather than the std::function visitor: the
   // capture list would not fit std::function's inline buffer, and a
   // heap-allocated callback per pass breaks the zero-steady-state-
-  // allocation property the parallel-step tests pin.
-  grid_.collect_pairs_within(reach, begin, end, sh.hits);
-  for (const SpatialGrid::PairHit& h : sh.hits) {
+  // allocation property test_step_loop pins. Hits come (i, j)-sorted.
+  hits_.clear();
+  grid_.collect_pairs_within(reach, 0, positions.size(), hits_);
+  for (const SpatialGrid::PairHit& h : hits_) {
     const bool in = h.d2 <= r2;
-    if (in) sh.contacts.emplace_back(h.i, h.j);
+    if (in) next_.emplace_back(h.i, h.j);
     if (slack_ > 0.0 && h.d2 >= lo2 && h.d2 <= hi2) {
-      sh.watch.push_back({h.i, h.j, in});
+      watch_.push_back({h.i, h.j, in});
     } else if (in) {
-      sh.max_c2 = std::max(sh.max_c2, h.d2);
+      max_c2 = std::max(max_c2, h.d2);
     } else {
-      sh.min_nc2 = std::min(sh.min_nc2, h.d2);
+      min_nc2 = std::min(min_nc2, h.d2);
     }
-  }
-}
-
-const ContactChurn& ContactTracker::finish_update() {
-  if (stage_skip_) {
-    for (std::size_t s = 0; s < stage_shards_; ++s) {
-      churn_.went_up.insert(churn_.went_up.end(), shards_[s].ups.begin(),
-                            shards_[s].ups.end());
-      churn_.went_down.insert(churn_.went_down.end(), shards_[s].downs.begin(),
-                              shards_[s].downs.end());
-    }
-    if (churn_.went_up.empty() && churn_.went_down.empty()) return churn_;
-    next_.clear();
-    std::set_difference(current_.begin(), current_.end(),
-                        churn_.went_down.begin(), churn_.went_down.end(),
-                        std::back_inserter(next_));
-    const auto mid = static_cast<std::ptrdiff_t>(next_.size());
-    next_.insert(next_.end(), churn_.went_up.begin(), churn_.went_up.end());
-    std::inplace_merge(next_.begin(), next_.begin() + mid, next_.end());
-    current_.swap(next_);
-    return churn_;
-  }
-  const double reach = range_ + slack_;
-  double min_nc2 = reach * reach;
-  double max_c2 = 0.0;
-  for (std::size_t s = 0; s < stage_shards_; ++s) {
-    const Shard& sh = shards_[s];
-    next_.insert(next_.end(), sh.contacts.begin(), sh.contacts.end());
-    watch_.insert(watch_.end(), sh.watch.begin(), sh.watch.end());
-    min_nc2 = std::min(min_nc2, sh.min_nc2);
-    max_c2 = std::max(max_c2, sh.max_c2);
   }
   std::set_difference(next_.begin(), next_.end(), current_.begin(),
                       current_.end(), std::back_inserter(churn_.went_up));
@@ -204,7 +128,6 @@ const ContactChurn& ContactTracker::finish_update() {
           ? std::max(0.0, std::min(std::sqrt(min_nc2) - range_,
                                    range_ - std::sqrt(max_c2)))
           : 0.0;
-  return churn_;
 }
 
 void ContactTracker::charge_quiet_step(double max_d2) {

@@ -31,7 +31,6 @@
 
 #include "src/geo/spatial_grid.hpp"
 #include "src/geo/vec2.hpp"
-#include "src/util/task_graph.hpp"
 
 namespace dtn {
 
@@ -69,50 +68,10 @@ class ContactTracker {
   /// restored tracker keeps its checkpointed budget.
   void set_motion_bound(double bound);
 
-  /// Optional intra-update parallelism (DESIGN.md §11/§16). When an
-  /// executor with helper lanes is attached, the candidate-pair
-  /// enumeration of a full pass and the exact recheck of the watch set
-  /// are sharded over contiguous index ranges; every shard's output is
-  /// locally sorted and the shards partition an ascending range, so
-  /// concatenating them reproduces the serial enumeration order
-  /// bit-for-bit. The returned churn, the current() set and the kinetic
-  /// budget are therefore identical at any lane count, including no
-  /// executor at all (the reference serial path). Pass nullptr to detach.
-  void set_executor(TaskExecutor* exec) { exec_ = exec; }
-
   /// Processes one movement step; returns the link churn. Pair lists are
   /// sorted, so downstream processing is deterministic. The returned
   /// reference and the `current()` view stay valid until the next update.
-  /// Equivalent to plan_update + every run_shard + finish_update.
   const ContactChurn& update(const std::vector<Vec2>& positions);
-
-  // --- staged update (task-graph integration, DESIGN.md §16) ---
-  // World::step drives the same update as three dependency nodes so the
-  // parallel middle stage overlaps other step phases instead of
-  // barriering on a nested dispatch:
-  //   plan_update (serial)  — charges the kinetic budget, rebuilds the
-  //                           grid when a full pass is due, sizes shards;
-  //   run_shard   (parallel)— one call per shard in [0, stage_shards());
-  //                           shards touch disjoint state;
-  //   finish_update (serial)— concatenates shard output in shard order
-  //                           and diffs against the current pair set.
-  // `max_d2` is the squared maximum single-node displacement since the
-  // previous update; it is only read when wants_displacement() — pass
-  // 0.0 otherwise.
-
-  /// True when the next plan_update needs the fleet's max displacement
-  /// to decide between a skip and a full pass (lets the caller fuse that
-  /// reduction into its mobility phase instead of a separate sweep).
-  bool wants_displacement(std::size_t n_nodes) const {
-    return slack_ > 0.0 && have_prev_ && prev_.size() == n_nodes &&
-           budget_ > 0.0;
-  }
-
-  void plan_update(const std::vector<Vec2>& positions, double max_d2);
-  /// Shards to run after plan_update (>= 1; 1 means serial-sized work).
-  std::size_t stage_shards() const { return stage_shards_; }
-  void run_shard(std::size_t s, const std::vector<Vec2>& positions);
-  const ContactChurn& finish_update();
 
   // --- quiet-step support (batched stepping, DESIGN.md §16) ---
   // When the watch set is empty and the budget covers several steps of
@@ -140,10 +99,10 @@ class ContactTracker {
   void commit_positions(const std::vector<Vec2>& positions);
 
   /// Positions at the previous update — the displacement reference for
-  /// wants_displacement()/quiet batches. Valid when have_prev (i.e.
-  /// wants_displacement/quiet_ready returned true); unlike the caller's
-  /// own position buffer it survives checkpoints, so batch sizing reads
-  /// it rather than a possibly-stale working copy.
+  /// skip decisions and quiet batches. Valid when quiet_ready returned
+  /// true; unlike the caller's own position buffer it survives
+  /// checkpoints, so batch sizing reads it rather than a possibly-stale
+  /// working copy.
   const std::vector<Vec2>& prev_positions() const { return prev_; }
 
   /// FP guard margin used in budget comparisons (callers sizing quiet
@@ -193,20 +152,17 @@ class ContactTracker {
     bool in_contact = false;  ///< classification as of the last update
   };
 
-  /// Per-shard scratch for the parallel paths; reused between updates so
-  /// a steady-state parallel update allocates nothing once warm.
-  struct Shard {
-    std::vector<SpatialGrid::PairHit> hits;  ///< full pass: candidate pairs
-    std::vector<NodePair> contacts;          ///< full pass: in-range pairs
-    std::vector<WatchPair> watch;            ///< full pass: boundary band
-    std::vector<NodePair> ups;               ///< recheck: entered range
-    std::vector<NodePair> downs;             ///< recheck: left range
-    double min_nc2 = 0.0;                    ///< full pass: margin reduce
-    double max_c2 = 0.0;
-  };
-
-  /// Number of shards to split `n` work items into, or 1 for serial.
-  std::size_t shard_count(std::size_t n) const;
+  /// True when the next update needs the fleet's max displacement to
+  /// decide between a skip and a full pass.
+  bool wants_displacement(std::size_t n_nodes) const {
+    return slack_ > 0.0 && have_prev_ && prev_.size() == n_nodes &&
+           budget_ > 0.0;
+  }
+  /// Skip step: re-checks the watch set exactly and applies its churn.
+  void recheck_watch(const std::vector<Vec2>& positions);
+  /// Full pass: rebuilds the grid, re-derives the contact and watch sets
+  /// and re-certifies the kinetic budget.
+  void full_pass(const std::vector<Vec2>& positions);
 
   double range_;
   double slack_ = 0.0;    ///< extra grid radius; 0 = skipping disabled
@@ -221,13 +177,7 @@ class ContactTracker {
   std::vector<WatchPair> watch_;   ///< sorted by (i, j)
   std::size_t updates_ = 0;
   std::size_t full_passes_ = 0;
-  TaskExecutor* exec_ = nullptr;   ///< non-owning; nullptr = serial
-  std::vector<Shard> shards_;      ///< parallel scratch, reused
-  // In-flight staged update (between plan_update and finish_update).
-  bool stage_skip_ = false;        ///< recheck (true) vs full pass
-  std::size_t stage_shards_ = 1;
-  const std::vector<Vec2>* stage_positions_ = nullptr;  ///< update() only
-  TaskKernel shard_kernel_;        ///< preallocated for update()'s dispatch
+  std::vector<SpatialGrid::PairHit> hits_;  ///< full-pass candidates, reused
 };
 
 }  // namespace dtn

@@ -34,10 +34,7 @@ ShardResult run_shard(const SweepManifest& manifest, const std::string& dir,
   result.shard = shard;
   std::size_t done = 0;
   for (std::size_t run = first; run < last; ++run) {
-    Scenario sc = manifest.scenario_for(run);
-    if (opts.sim_threads >= 0) {
-      sc.world.threads = static_cast<std::size_t>(opts.sim_threads);
-    }
+    const Scenario sc = manifest.scenario_for(run);
     CheckpointOptions ckpt;
     if (opts.ckpt_interval_s > 0.0) {
       ckpt.dir = dir;
@@ -110,7 +107,6 @@ std::vector<ReplicatedMetrics> run_sweep_inprocess(
   WorkerOptions wopts;
   wopts.ckpt_interval_s = opts.ckpt_interval_s;
   wopts.keep_run_files = opts.keep_files;
-  wopts.sim_threads = opts.sim_threads;
 
   const std::size_t shards = manifest.shard_count();
   auto run_one = [&](std::size_t s) { run_shard(manifest, dir, s, wopts); };

@@ -23,14 +23,6 @@ struct WorkerOptions {
   double ckpt_interval_s = 600.0;
   /// Keep per-run .ckpt/.done files after the shard result is durable.
   bool keep_run_files = false;
-  /// Intra-step parallelism override: when >= 0, every run's
-  /// Parallel.threads is forced to this value before the world is built
-  /// (per-box tuning — a worker on a big machine can use helper lanes a
-  /// manifest authored elsewhere does not know about). Thread count
-  /// never changes simulation results (DESIGN.md §16), so the override
-  /// is metric- and digest-invisible; -1 keeps the manifest scenario's
-  /// own setting.
-  int sim_threads = -1;
   /// Progress hook: called after every finished run and after every
   /// mid-run checkpoint (runs_done repeats in the latter case). Worker
   /// processes heartbeat from here.
@@ -58,7 +50,6 @@ struct InProcessOptions {
   std::size_t lanes = 1;  ///< concurrent shard executors (thread pool)
   double ckpt_interval_s = 0.0;
   bool keep_files = false;  ///< keep shard + run files afterwards
-  int sim_threads = -1;     ///< per-run Parallel.threads override (< 0: off)
 };
 
 /// Runs a whole sweep through the orchestrator machinery in-process (no

@@ -8,8 +8,8 @@
 // PriorityCache memo is keyed by message id alone, so two sub-policies
 // with different scalars would collide in one memo. Both delegated calls
 // therefore see a context with `cache_enabled` cleared — sub-policies
-// always compute fresh, and the World never prewarms or snapshots send
-// orders under a composite.
+// always compute fresh, and the World never snapshots send orders under
+// a composite.
 #pragma once
 
 #include <memory>

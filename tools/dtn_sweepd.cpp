@@ -41,20 +41,6 @@ using dtn::orch::CoordinatorOptions;
 using dtn::orch::SweepManifest;
 using dtn::orch::WorkerOptions;
 
-/// Per-run Parallel.threads override for worker runs: `--sim-threads N`
-/// wins, else the DTN_THREADS environment variable, else -1 (keep the
-/// manifest scenario's setting). Results are thread-count-invariant, so
-/// this only tunes per-box wall clock.
-int sim_threads_override(const std::string& flag_value, bool has_flag) {
-  if (has_flag) {
-    return static_cast<int>(std::strtol(flag_value.c_str(), nullptr, 10));
-  }
-  if (const char* env = std::getenv("DTN_THREADS")) {
-    return static_cast<int>(std::strtol(env, nullptr, 10));
-  }
-  return -1;
-}
-
 /// `--key value` pairs plus bare `--flag` switches after the subcommand.
 class Args {
  public:
@@ -184,12 +170,6 @@ int cmd_run(const Args& args) {
                       "--ckpt-interval-s",
                       args.get("ckpt-interval-s", "600")};
   if (opts.keep_files) opts.worker_argv.push_back("--keep-files");
-  // Forward an explicit flag to workers; a DTN_THREADS environment
-  // variable reaches the subprocesses on its own.
-  if (args.has("sim-threads")) {
-    opts.worker_argv.push_back("--sim-threads");
-    opts.worker_argv.push_back(args.get("sim-threads", ""));
-  }
 
   const auto outcome = dtn::orch::run_coordinator(m, dir, opts);
   std::cout << "sweep \"" << m.name << "\": " << outcome.shards_total
@@ -206,8 +186,6 @@ int cmd_worker(const Args& args) {
   WorkerOptions opts;
   opts.ckpt_interval_s = args.get_double("ckpt-interval-s", 600.0);
   opts.keep_run_files = args.has("keep-files");
-  opts.sim_threads =
-      sim_threads_override(args.get("sim-threads", ""), args.has("sim-threads"));
   return dtn::orch::run_worker_loop(std::cin, std::cout, m,
                                     args.require("dir"), opts);
 }
@@ -229,10 +207,7 @@ int usage() {
       << "  run        --manifest F --dir D [--workers W] [--status-port P]\n"
       << "             [--ckpt-interval-s S] [--lease-ttl-s S] [--keep-files]\n"
       << "             [--max-wall-s S] [--chaos-kill-after K]\n"
-      << "             [--sim-threads T]   (or DTN_THREADS env; per-run\n"
-      << "                                  Parallel.threads override)\n"
       << "  worker     --manifest F --dir D [--ckpt-interval-s S]\n"
-      << "             [--sim-threads T]\n"
       << "  print      --manifest F --results F\n";
   return 2;
 }
