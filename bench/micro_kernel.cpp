@@ -1,10 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels:
 // spatial-grid contact detection, priority evaluation (closed form vs
-// Taylor), buffer admission, dropped-list merge, and a full
-// world-step at paper scale.
+// Taylor), buffer admission, dropped-list merge, checkpoint
+// serialization and the state digest, and a full world-step at paper
+// scale.
+//
+//   ./micro_kernel --benchmark_out=BENCH_micro_kernel.json
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "src/buffer/fifo.hpp"
 #include "src/buffer/sdsrp_policy.hpp"
@@ -14,9 +19,22 @@
 #include "src/routing/spray_and_wait.hpp"
 #include "src/sdsrp/dropped_list.hpp"
 #include "src/sdsrp/priority_model.hpp"
+#include "src/snapshot/checkpoint.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/units.hpp"
 
 namespace {
+
+// The environment stamp every BENCH_*.json report carries, here in the
+// "context" object of google-benchmark's JSON output.
+[[maybe_unused]] const bool kEnvStamp = [] {
+  benchmark::AddCustomContext(
+      "hardware_threads",
+      std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("git_describe", DTN_GIT_DESCRIBE);
+  benchmark::AddCustomContext("build_type", DTN_BUILD_TYPE);
+  return true;
+}();
 
 void BM_SpatialGridRebuildAndPairs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -110,6 +128,58 @@ void BM_DroppedListMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DroppedListMerge)->Arg(10)->Arg(100);
+
+/// The Table II sweep's SDSRP 2 MB world (its tightest buffer, where the
+/// dropped lists are largest) paused at t = 9000 s; built once and shared
+/// by the state-serialization benches.
+struct PausedWorld {
+  dtn::Scenario sc;
+  std::unique_ptr<dtn::World> world;
+};
+
+const PausedWorld& table2_sdsrp_2mb() {
+  static const PausedWorld paused = [] {
+    PausedWorld p;
+    p.sc = dtn::Scenario::random_waypoint_paper();
+    p.sc.policy = "sdsrp";
+    p.sc.buffer_capacity = dtn::units::megabytes(2.0);
+    p.sc.seed = 1;
+    p.world = dtn::build_world(p.sc);
+    p.world->run_until(9000.0);
+    return p;
+  }();
+  return paused;
+}
+
+/// One checkpoint's serialization (scenario + world) into a reused
+/// writer, as run_scenario's checkpoint loop does.
+void BM_SaveWorld(benchmark::State& state) {
+  const PausedWorld& p = table2_sdsrp_2mb();
+  dtn::snapshot::ArchiveWriter w;
+  for (auto _ : state) {
+    w.clear();
+    dtn::snapshot::save_world(w, p.sc, *p.world);
+    benchmark::DoNotOptimize(w.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(w.bytes_written()));
+}
+BENCHMARK(BM_SaveWorld)->Unit(benchmark::kMillisecond);
+
+/// World::digest: the same serializer in hash-only mode.
+void BM_WorldDigest(benchmark::State& state) {
+  const PausedWorld& p = table2_sdsrp_2mb();
+  dtn::snapshot::ArchiveWriter hashed(
+      dtn::snapshot::ArchiveWriter::Mode::kDigestOnly);
+  p.world->save_state(hashed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.world->digest());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(hashed.bytes_written()));
+}
+BENCHMARK(BM_WorldDigest)->Unit(benchmark::kMillisecond);
 
 void BM_WorldStepPaperScale(benchmark::State& state) {
   dtn::Scenario sc = dtn::Scenario::random_waypoint_paper();

@@ -193,16 +193,20 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
   world->add_observer(&delivered);
 
   const double duration = sc.world.duration;
+  // One writer for every save of this run: its buffer keeps the largest
+  // save's capacity instead of being regrown from empty each time.
+  snapshot::ArchiveWriter w;
   while (world->now() + sc.world.step <= duration + 1e-9) {
     const double target =
         std::min(duration, world->now() + ckpt.interval_s);
     world->run_until(target);
     if (world->now() + sc.world.step <= duration + 1e-9) {
-      snapshot::save_checkpoint(
-          ckpt_path, sc, *world,
-          [&delivered](snapshot::ArchiveWriter& out) {
-            delivered.save_state(out);
-          });
+      w.clear();
+      snapshot::save_world(w, sc, *world,
+                           [&delivered](snapshot::ArchiveWriter& out) {
+                             delivered.save_state(out);
+                           });
+      snapshot::write_archive_file(ckpt_path, w);
       if (ckpt.on_progress) ckpt.on_progress(world->now());
     }
   }

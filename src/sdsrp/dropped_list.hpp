@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace dtn::snapshot {
 class ArchiveWriter;
@@ -22,10 +22,12 @@ class ArchiveReader;
 
 namespace dtn::sdsrp {
 
-/// One node's drop record as gossiped through the network.
+/// One node's drop record as gossiped through the network. The ids are
+/// kept strictly ascending, so a gossip merge copies one flat vector and
+/// a save writes it as-is, with no copy or sort.
 struct DropRecord {
-  std::unordered_set<std::uint64_t> dropped;  ///< message ids
-  double record_time = -1.0;                  ///< stamped by the owner only
+  std::vector<std::uint64_t> dropped;  ///< message ids, strictly ascending
+  double record_time = -1.0;           ///< stamped by the owner only
 };
 
 class DroppedList {
@@ -59,13 +61,15 @@ class DroppedList {
   std::size_t known_records() const { return records_.size(); }
 
   /// Snapshot/restore: serializes all known records in canonical (sorted)
-  /// order; the counts_ index is rebuilt on load.
+  /// order; the counts_ index is rebuilt on load. load_state rejects a
+  /// stream whose owners or ids are not strictly ascending (a repeated
+  /// owner would otherwise inflate d̂).
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in);
 
  private:
   void index_add(const DropRecord& rec);
-  void index_remove(const DropRecord& rec);
+  void index_replace(const DropRecord& old_rec, const DropRecord& new_rec);
 
   std::size_t owner_;
   std::unordered_map<std::size_t, DropRecord> records_;  ///< by owner node id

@@ -8,77 +8,20 @@
 
 namespace dtn::snapshot {
 
-void ArchiveWriter::raw(const void* p, std::size_t n) {
-  hash_.update(p, n);
-  written_ += n;
-  if (mode_ == Mode::kBuffer) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
-  }
-}
-
-void ArchiveWriter::tag(Tag t) {
-  const auto b = static_cast<std::uint8_t>(t);
-  raw(&b, 1);
-}
-
-void ArchiveWriter::le64(std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(b, 8);
-}
-
-void ArchiveWriter::u8(std::uint8_t v) {
-  tag(Tag::kU8);
-  raw(&v, 1);
-}
-
-void ArchiveWriter::u32(std::uint32_t v) {
-  tag(Tag::kU32);
-  std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(b, 4);
-}
-
-void ArchiveWriter::u64(std::uint64_t v) {
-  tag(Tag::kU64);
-  le64(v);
-}
-
-void ArchiveWriter::i64(std::int64_t v) {
-  tag(Tag::kI64);
-  le64(static_cast<std::uint64_t>(v));
-}
-
-void ArchiveWriter::f64(double v) {
-  tag(Tag::kF64);
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  le64(bits);
-}
-
-void ArchiveWriter::boolean(bool v) {
-  tag(Tag::kBool);
-  const std::uint8_t b = v ? 1 : 0;
-  raw(&b, 1);
-}
-
 void ArchiveWriter::str(const std::string& v) {
-  tag(Tag::kString);
-  le64(v.size());
+  tagged(Tag::kString, v.size(), 8);
   raw(v.data(), v.size());
 }
 
 void ArchiveWriter::begin_section(const std::string& name) {
-  tag(Tag::kSectionBegin);
-  le64(name.size());
+  tagged(Tag::kSectionBegin, name.size(), 8);
   raw(name.data(), name.size());
   ++depth_;
 }
 
 void ArchiveWriter::end_section() {
   DTN_REQUIRE(depth_ > 0, "archive: end_section without matching begin");
-  tag(Tag::kSectionEnd);
+  tagged(Tag::kSectionEnd, 0, 0);
   --depth_;
 }
 
@@ -179,23 +122,16 @@ void ArchiveReader::end_section() {
 
 namespace {
 
-void append_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+constexpr std::size_t kHeaderBytes = 16;   // magic, version, payload length
+constexpr std::size_t kTrailerBytes = 8;   // FNV-1a of the payload
+
+void put_le(std::uint8_t* out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void append_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t take_le32(const std::vector<std::uint8_t>& in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at + static_cast<std::size_t>(i)]) << (8 * i);
-  return v;
-}
-
-std::uint64_t take_le64(const std::vector<std::uint8_t>& in, std::size_t at) {
+std::uint64_t take_le(const std::uint8_t* in, int width) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[at + static_cast<std::size_t>(i)]) << (8 * i);
+  for (int i = 0; i < width; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
   return v;
 }
 
@@ -203,22 +139,23 @@ std::uint64_t take_le64(const std::vector<std::uint8_t>& in, std::size_t at) {
 
 void write_archive_file(const std::string& path, const ArchiveWriter& w) {
   const std::vector<std::uint8_t>& payload = w.bytes();
-  std::vector<std::uint8_t> framed;
-  framed.reserve(payload.size() + 24);
-  append_le32(framed, kArchiveMagic);
-  append_le32(framed, kArchiveVersion);
-  append_le64(framed, payload.size());
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  Fnv1a h;
-  h.update(payload.data(), payload.size());
-  append_le64(framed, h.digest());
+  std::uint8_t head[kHeaderBytes];
+  put_le(head, kArchiveMagic, 4);
+  put_le(head + 4, kArchiveVersion, 4);
+  put_le(head + 8, payload.size(), 8);
+  // The writer hashed exactly the payload bytes as it produced them.
+  std::uint8_t trailer[kTrailerBytes];
+  put_le(trailer, w.digest(), 8);
 
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     DTN_REQUIRE(os.good(), "archive: cannot open for writing: " + tmp);
-    os.write(reinterpret_cast<const char*>(framed.data()),
-             static_cast<std::streamsize>(framed.size()));
+    os.write(reinterpret_cast<const char*>(head), sizeof head);
+    os.write(reinterpret_cast<const char*>(payload.data()),
+             static_cast<std::streamsize>(payload.size()));
+    os.write(reinterpret_cast<const char*>(trailer), sizeof trailer);
+    os.flush();
     DTN_REQUIRE(os.good(), "archive: write failed: " + tmp);
   }
   DTN_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
@@ -226,30 +163,34 @@ void write_archive_file(const std::string& path, const ArchiveWriter& w) {
 }
 
 ArchiveReader read_archive_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   DTN_REQUIRE(is.good(), "archive: cannot open: " + path);
-  std::vector<std::uint8_t> framed((std::istreambuf_iterator<char>(is)),
-                                   std::istreambuf_iterator<char>());
-  DTN_REQUIRE(framed.size() >= 24, "archive: file too short: " + path);
-  DTN_REQUIRE(take_le32(framed, 0) == kArchiveMagic,
+  const std::streamoff size = is.tellg();
+  DTN_REQUIRE(size >= static_cast<std::streamoff>(kHeaderBytes + kTrailerBytes),
+              "archive: file too short: " + path);
+  is.seekg(0);
+  std::uint8_t head[kHeaderBytes] = {};
+  is.read(reinterpret_cast<char*>(head), sizeof head);
+  DTN_REQUIRE(take_le(head, 4) == kArchiveMagic,
               "archive: bad magic (not a snapshot file): " + path);
-  const std::uint32_t version = take_le32(framed, 4);
+  const auto version = static_cast<std::uint32_t>(take_le(head + 4, 4));
   DTN_REQUIRE(version >= kArchiveMinVersion && version <= kArchiveVersion,
               "archive: unsupported version " + std::to_string(version) +
                   " (supported: " + std::to_string(kArchiveMinVersion) +
                   ".." + std::to_string(kArchiveVersion) + ")");
-  const std::uint64_t n = take_le64(framed, 8);
-  DTN_REQUIRE(framed.size() == 24 + n,
+  const std::uint64_t n = take_le(head + 8, 8);
+  DTN_REQUIRE(n == static_cast<std::uint64_t>(size) - kHeaderBytes - kTrailerBytes,
               "archive: payload length mismatch (truncated?): " + path);
+  std::vector<std::uint8_t> payload(static_cast<std::size_t>(n));
+  std::uint8_t trailer[kTrailerBytes] = {};
+  is.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(n));
+  is.read(reinterpret_cast<char*>(trailer), sizeof trailer);
+  DTN_REQUIRE(is.good(), "archive: read failed (truncated?): " + path);
   Fnv1a h;
-  h.update(framed.data() + 16, n);
-  const std::uint64_t stored = take_le64(framed, 16 + n);
-  DTN_REQUIRE(h.digest() == stored, "archive: digest mismatch (corrupt): " + path);
-  return ArchiveReader(
-      std::vector<std::uint8_t>(
-          framed.begin() + 16,
-          framed.begin() + 16 + static_cast<std::ptrdiff_t>(n)),
-      version);
+  h.update(payload.data(), payload.size());
+  DTN_REQUIRE(h.digest() == take_le(trailer, 8),
+              "archive: digest mismatch (corrupt): " + path);
+  return ArchiveReader(std::move(payload), version);
 }
 
 void write_running_stats(ArchiveWriter& w, const RunningStats& s) {

@@ -15,6 +15,7 @@
 // corrupted checkpoint is never silently accepted.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -86,28 +87,57 @@ class ArchiveWriter {
   /// semantic state alone.
   bool digest_only() const { return mode_ == Mode::kDigestOnly; }
 
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);
-  void boolean(bool v);
+  void u8(std::uint8_t v) { tagged(Tag::kU8, v, 1); }
+  void u32(std::uint32_t v) { tagged(Tag::kU32, v, 4); }
+  void u64(std::uint64_t v) { tagged(Tag::kU64, v, 8); }
+  void i64(std::int64_t v) {
+    tagged(Tag::kI64, static_cast<std::uint64_t>(v), 8);
+  }
+  void f64(double v) { tagged(Tag::kF64, std::bit_cast<std::uint64_t>(v), 8); }
+  void boolean(bool v) { tagged(Tag::kBool, v ? 1 : 0, 1); }
   void str(const std::string& v);
 
   /// Named section bracket; sections must nest and balance.
   void begin_section(const std::string& name);
   void end_section();
 
+  /// Starts a new archive in the same writer (mode kept). The buffer keeps
+  /// its capacity, so successive saves of one world are not regrown from
+  /// empty.
+  void clear() {
+    hash_ = Fnv1a{};
+    buf_.clear();
+    written_ = 0;
+    depth_ = 0;
+  }
+
   /// Serialized payload (buffer mode only; sections must be balanced).
   const std::vector<std::uint8_t>& bytes() const;
-  /// FNV-1a over every byte written so far (both modes).
+  /// FNV-1a over every byte written so far (both modes) — in buffer mode
+  /// exactly the hash of bytes(), which write_archive_file uses as the
+  /// file trailer.
   std::uint64_t digest() const { return hash_.digest(); }
   std::size_t bytes_written() const { return written_; }
 
  private:
-  void raw(const void* p, std::size_t n);
-  void tag(Tag t);
-  void le64(std::uint64_t v);
+  /// Appends a tag byte and the low `width` bytes of `v` little-endian,
+  /// as one piece.
+  void tagged(Tag t, std::uint64_t v, std::size_t width) {
+    std::uint8_t b[9];
+    b[0] = static_cast<std::uint8_t>(t);
+    for (std::size_t i = 0; i < width; ++i) {
+      b[1 + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    raw(b, 1 + width);
+  }
+  void raw(const void* p, std::size_t n) {
+    hash_.update(p, n);
+    written_ += n;
+    if (mode_ == Mode::kBuffer) {
+      const auto* b = static_cast<const std::uint8_t*>(p);
+      buf_.insert(buf_.end(), b, b + n);
+    }
+  }
 
   Mode mode_;
   Fnv1a hash_;
@@ -156,13 +186,16 @@ class ArchiveReader {
 };
 
 /// Writes the archive as a framed file: magic, version, payload length,
-/// payload, FNV-1a digest trailer. The write goes through a temporary
-/// file + rename so a crash mid-write never leaves a half checkpoint at
-/// `path`. The writer must be in buffer mode with balanced sections.
+/// payload, FNV-1a digest trailer (the writer's own digest(), so the
+/// payload is neither hashed again nor copied). The write goes through a
+/// temporary file + rename so a crash mid-write never leaves a half
+/// checkpoint at `path`. The writer must be in buffer mode with balanced
+/// sections.
 void write_archive_file(const std::string& path, const ArchiveWriter& w);
 
 /// Reads and validates a framed archive file (magic, version, length,
-/// digest). Throws PreconditionError on any corruption.
+/// digest) in one read sized from the file length; the payload moves into
+/// the reader. Throws PreconditionError on any corruption.
 ArchiveReader read_archive_file(const std::string& path);
 
 // --- shared composite helpers ---

@@ -1,25 +1,29 @@
 // Archive backward compatibility.
 //
-// tests/fixtures/ holds small checkpoints written by the actual v1–v5
+// tests/fixtures/ holds small checkpoints written by the actual v1–v6
 // code (generated from the historical commits; see fixtures/manifest.txt).
 // The current reader must restore each one bit-for-bit (pinned restore
 // digest) and resume it to the end of the run deterministically (pinned
 // end digest).
 //
-// v2–v5 additionally must finish *equal to a current cold run*: what
+// v2–v6 additionally must finish *equal to a current cold run*: what
 // those versions added (idle memo, kinetic contact bookkeeping, fault
 // state defaults, arena sizing hints) is derived-but-deterministic
-// state, so losing it cannot change decisions.
+// state, so losing it cannot change decisions. v6 is the current
+// version, so the current writer must also reproduce it byte for byte.
 // v1 predates the priority cache, so a v1 resume legitimately diverges
 // from a warm-cache cold run (staleness within the refresh quantum); its
 // end digest is pinned instead.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/config/scenario.hpp"
 #include "src/snapshot/checkpoint.hpp"
@@ -93,7 +97,8 @@ INSTANTIATE_TEST_SUITE_P(Versions, ArchiveCompat,
                                            "v2_rwp_sdsrp.ckpt",
                                            "v3_rwp_sdsrp.ckpt",
                                            "v4_rwp_sdsrp.ckpt",
-                                           "v5_rwp_sdsrp.ckpt"),
+                                           "v5_rwp_sdsrp.ckpt",
+                                           "v6_rwp_sdsrp.ckpt"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param).substr(0, 2);
                          });
@@ -104,13 +109,36 @@ TEST(ArchiveCompat, DerivedStateVersionsFinishEqualToColdRun) {
   const std::uint64_t cold_digest = cold->digest();
   for (const char* file :
        {"v2_rwp_sdsrp.ckpt", "v3_rwp_sdsrp.ckpt", "v4_rwp_sdsrp.ckpt",
-        "v5_rwp_sdsrp.ckpt"}) {
+        "v5_rwp_sdsrp.ckpt", "v6_rwp_sdsrp.ckpt"}) {
     auto restored = snapshot::restore_checkpoint(
         std::string(DTN_FIXTURE_DIR) + "/" + file);
     restored.world->run();
     EXPECT_EQ(restored.world->digest(), cold_digest)
         << file << ": losing derived state changed decisions";
   }
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+}
+
+// v6 is the current format: saving the fixture world at the fixture's
+// time must reproduce the committed file byte for byte, trailer included,
+// so any change to the writer that moves a byte fails here.
+TEST(ArchiveCompat, CurrentWriterReproducesV6Fixture) {
+  const Scenario sc = fixture_scenario();
+  auto world = build_world(sc);
+  world->run_until(2000.0);
+  const std::string path = ::testing::TempDir() + "v6_rewrite.ckpt";
+  snapshot::save_checkpoint(path, sc, *world);
+  const std::vector<char> fixture =
+      file_bytes(std::string(DTN_FIXTURE_DIR) + "/v6_rwp_sdsrp.ckpt");
+  ASSERT_FALSE(fixture.empty());
+  EXPECT_TRUE(file_bytes(path) == fixture)
+      << "current writer no longer reproduces v6_rwp_sdsrp.ckpt";
+  std::remove(path.c_str());
 }
 
 }  // namespace

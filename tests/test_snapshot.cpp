@@ -98,6 +98,23 @@ TEST(Archive, DigestOnlyModeMatchesBufferDigest) {
   EXPECT_EQ(buffered.bytes_written(), hashed.bytes_written());
 }
 
+TEST(Archive, ClearedWriterMatchesFreshOne) {
+  snapshot::ArchiveWriter reused;
+  reused.begin_section("earlier");
+  reused.str("a longer earlier archive");
+  reused.end_section();
+  reused.clear();
+  snapshot::ArchiveWriter fresh;
+  for (snapshot::ArchiveWriter* w : {&reused, &fresh}) {
+    w->begin_section("s");
+    w->u64(7);
+    w->end_section();
+  }
+  EXPECT_EQ(reused.bytes(), fresh.bytes());
+  EXPECT_EQ(reused.digest(), fresh.digest());
+  EXPECT_EQ(reused.bytes_written(), fresh.bytes_written());
+}
+
 TEST(ArchiveFile, RoundTripAndValidation) {
   const std::string path = temp_path("archive_roundtrip.bin");
   snapshot::ArchiveWriter w;
@@ -149,6 +166,19 @@ TEST(ArchiveFile, WrongVersionRejected) {
   f.write(&bogus, 1);
   f.close();
 
+  EXPECT_THROW(snapshot::read_archive_file(path), PreconditionError);
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveFile, TrailingBytesRejected) {
+  const std::string path = temp_path("archive_trailing.bin");
+  snapshot::ArchiveWriter w;
+  w.u64(1);
+  snapshot::write_archive_file(path, w);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.put('\0');
+  }
   EXPECT_THROW(snapshot::read_archive_file(path), PreconditionError);
   std::remove(path.c_str());
 }
