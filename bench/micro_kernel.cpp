@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels:
 // spatial-grid contact detection, priority evaluation (closed form vs
 // Taylor), buffer admission, dropped-list merge, checkpoint
-// serialization and the state digest, and a full world-step at paper
-// scale.
+// serialization, the checkpoint hash and the state digest, and a full
+// world-step at paper scale.
 //
 //   ./micro_kernel --benchmark_out=BENCH_micro_kernel.json
 #include <benchmark/benchmark.h>
@@ -152,7 +152,9 @@ const PausedWorld& table2_sdsrp_2mb() {
 }
 
 /// One checkpoint's serialization (scenario + world) into a reused
-/// writer, as run_scenario's checkpoint loop does.
+/// writer: the part of a save run_scenario's checkpoint loop keeps on the
+/// simulation thread. The payload is not hashed here; BM_CheckpointHash
+/// times that.
 void BM_SaveWorld(benchmark::State& state) {
   const PausedWorld& p = table2_sdsrp_2mb();
   dtn::snapshot::ArchiveWriter w;
@@ -166,6 +168,20 @@ void BM_SaveWorld(benchmark::State& state) {
                           static_cast<std::int64_t>(w.bytes_written()));
 }
 BENCHMARK(BM_SaveWorld)->Unit(benchmark::kMillisecond);
+
+/// The file trailer's FNV-1a over that same payload: with the file write,
+/// the work of a save that runs on run_scenario's helper thread.
+void BM_CheckpointHash(benchmark::State& state) {
+  const PausedWorld& p = table2_sdsrp_2mb();
+  dtn::snapshot::ArchiveWriter w;
+  dtn::snapshot::save_world(w, p.sc, *p.world);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.digest());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(w.bytes_written()));
+}
+BENCHMARK(BM_CheckpointHash)->Unit(benchmark::kMillisecond);
 
 /// World::digest: the same serializer in hash-only mode.
 void BM_WorldDigest(benchmark::State& state) {

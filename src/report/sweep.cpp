@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <sstream>
 
 #include "src/report/observers.hpp"
@@ -182,7 +183,7 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
 
   DeliveredMessagesReport delivered;
   std::unique_ptr<World> world;
-  if (std::filesystem::exists(ckpt_path)) {
+  if (std::filesystem::is_regular_file(ckpt_path)) {
     auto restored = snapshot::restore_checkpoint(
         ckpt_path,
         [&delivered](snapshot::ArchiveReader& in) { delivered.load_state(in); });
@@ -196,20 +197,32 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
   // One writer for every save of this run: its buffer keeps the largest
   // save's capacity instead of being regrown from empty each time.
   snapshot::ArchiveWriter w;
+  // The save in flight: a helper thread hashes and writes `w` while the
+  // world runs on. Declared after `w` so that on unwind its destructor
+  // waits for the write before `w` is destroyed.
+  std::future<void> writing;
+  // Waits for the save in flight and rethrows its failure.
+  const auto finish_write = [&writing] {
+    if (writing.valid()) writing.get();
+  };
   while (world->now() + sc.world.step <= duration + 1e-9) {
     const double target =
         std::min(duration, world->now() + ckpt.interval_s);
     world->run_until(target);
     if (world->now() + sc.world.step <= duration + 1e-9) {
+      finish_write();
       w.clear();
       snapshot::save_world(w, sc, *world,
                            [&delivered](snapshot::ArchiveWriter& out) {
                              delivered.save_state(out);
                            });
-      snapshot::write_archive_file(ckpt_path, w);
+      writing = std::async(std::launch::async, [&w, &ckpt_path] {
+        snapshot::write_archive_file(ckpt_path, w);
+      });
       if (ckpt.on_progress) ckpt.on_progress(world->now());
     }
   }
+  finish_write();
 
   const SimStats& s = world->stats();
   if (stats_out != nullptr) *stats_out = s;

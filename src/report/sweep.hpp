@@ -36,14 +36,18 @@ struct MetricPoint {
 /// metrics on completion. A rerun with the same options resumes each
 /// replica from its checkpoint — or skips it entirely when the marker
 /// exists — and produces results identical to an uninterrupted (cold) run.
+/// Each save is hashed and written on a helper thread while the run goes
+/// on, so the file on disk may lag the newest save by one; a failed write
+/// throws from run_scenario at the next save or at the end of the run.
 struct CheckpointOptions {
   std::string dir;         ///< empty = checkpointing disabled
   double interval_s = 0.0; ///< simulated seconds between saves; <=0 disables
   bool keep_files = false; ///< keep .ckpt/.done after a completed run
   /// Optional liveness hook, called after every periodic checkpoint save
-  /// with the current simulated time. Orchestrator workers heartbeat from
-  /// here so a lease stays fresh through a single long run. Never called
-  /// for runs skipped via an existing .done marker.
+  /// is taken (its file may still be being written) with the current
+  /// simulated time. Orchestrator workers heartbeat from here so a lease
+  /// stays fresh through a single long run. Never called for runs skipped
+  /// via an existing .done marker.
   std::function<void(double sim_now)> on_progress;
 
   bool enabled() const { return !dir.empty() && interval_s > 0.0; }

@@ -1,12 +1,26 @@
 #include "src/sdsrp/dropped_list.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <iterator>
+#include <utility>
 
 #include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
 
 namespace dtn::sdsrp {
+
+namespace {
+
+/// First entry of an owner-sorted record list whose owner is not below
+/// `owner`.
+template <class Records>
+auto find_owner(Records& records, std::size_t owner) {
+  return std::lower_bound(
+      records.begin(), records.end(), owner,
+      [](const auto& known, std::size_t o) { return known.owner < o; });
+}
+
+}  // namespace
 
 void DroppedList::index_add(const DropRecord& rec) {
   for (std::uint64_t msg : rec.dropped) ++counts_[msg];
@@ -34,38 +48,69 @@ void DroppedList::index_replace(const DropRecord& old_rec,
 }
 
 void DroppedList::record_local_drop(std::uint64_t msg, double now) {
-  DropRecord& own = records_[owner_];
-  const auto it = std::lower_bound(own.dropped.begin(), own.dropped.end(), msg);
-  if (it == own.dropped.end() || *it != msg) {
-    own.dropped.insert(it, msg);
+  const auto it = find_owner(records_, owner_);
+  const bool known = it != records_.end() && it->owner == owner_;
+  // Copy-on-write: nodes that heard the current record keep sharing it.
+  auto next = known ? std::make_shared<DropRecord>(*it->record)
+                    : std::make_shared<DropRecord>();
+  const auto at =
+      std::lower_bound(next->dropped.begin(), next->dropped.end(), msg);
+  if (at == next->dropped.end() || *at != msg) {
+    next->dropped.insert(at, msg);
     ++counts_[msg];
   }
-  own.record_time = now;
+  next->record_time = now;
+  if (known) {
+    it->record = std::move(next);
+  } else {
+    records_.insert(it, Known{owner_, std::move(next)});
+  }
 }
 
 bool DroppedList::has_own_drop(std::uint64_t msg) const {
-  const auto it = records_.find(owner_);
-  return it != records_.end() &&
-         std::binary_search(it->second.dropped.begin(),
-                            it->second.dropped.end(), msg);
+  const auto it = find_owner(records_, owner_);
+  return it != records_.end() && it->owner == owner_ &&
+         std::binary_search(it->record->dropped.begin(),
+                            it->record->dropped.end(), msg);
 }
 
 bool DroppedList::merge_from(const DroppedList& other) {
+  // One pass over both owner lists: adopt the newer records of owners
+  // already known and count the owners that are not.
   bool changed = false;
-  for (const auto& [node, rec] : other.records_) {
-    if (node == owner_) continue;  // only the owner writes the own record
-    auto it = records_.find(node);
-    if (it == records_.end()) {
-      records_.emplace(node, rec);
-      index_add(rec);
-      changed = true;
-    } else if (rec.record_time > it->second.record_time) {
-      index_replace(it->second, rec);
-      it->second = rec;
+  std::size_t unknown = 0;
+  auto mine = records_.begin();
+  for (const Known& theirs : other.records_) {
+    if (theirs.owner == owner_) continue;  // only the owner writes it
+    while (mine != records_.end() && mine->owner < theirs.owner) ++mine;
+    if (mine == records_.end() || mine->owner != theirs.owner) {
+      ++unknown;
+    } else if (mine->record != theirs.record &&
+               theirs.record->record_time > mine->record->record_time) {
+      index_replace(*mine->record, *theirs.record);
+      mine->record = theirs.record;
       changed = true;
     }
   }
-  return changed;
+  if (unknown == 0) return changed;
+
+  // New owners (met early in a run): splice their records in, in order.
+  std::vector<Known> merged;
+  merged.reserve(records_.size() + unknown);
+  mine = records_.begin();
+  for (const Known& theirs : other.records_) {
+    if (theirs.owner == owner_) continue;
+    while (mine != records_.end() && mine->owner < theirs.owner) {
+      merged.push_back(std::move(*mine++));
+    }
+    if (mine != records_.end() && mine->owner == theirs.owner) continue;
+    index_add(*theirs.record);
+    merged.push_back(theirs);
+  }
+  merged.insert(merged.end(), std::make_move_iterator(mine),
+                std::make_move_iterator(records_.end()));
+  records_ = std::move(merged);
+  return true;
 }
 
 double DroppedList::count_drops(std::uint64_t msg) const {
@@ -74,9 +119,14 @@ double DroppedList::count_drops(std::uint64_t msg) const {
 }
 
 void DroppedList::forget_message(std::uint64_t msg) {
-  for (auto& [node, rec] : records_) {
-    const auto it = std::lower_bound(rec.dropped.begin(), rec.dropped.end(), msg);
-    if (it != rec.dropped.end() && *it == msg) rec.dropped.erase(it);
+  for (Known& known : records_) {
+    const std::vector<std::uint64_t>& ids = known.record->dropped;
+    const auto it = std::lower_bound(ids.begin(), ids.end(), msg);
+    if (it == ids.end() || *it != msg) continue;
+    // Copy before erasing: other nodes may share this record.
+    auto copy = std::make_shared<DropRecord>(*known.record);
+    copy->dropped.erase(copy->dropped.begin() + (it - ids.begin()));
+    known.record = std::move(copy);
   }
   counts_.erase(msg);
 }
@@ -84,14 +134,10 @@ void DroppedList::forget_message(std::uint64_t msg) {
 void DroppedList::save_state(snapshot::ArchiveWriter& out) const {
   out.begin_section("dropped-list");
   out.u64(owner_);
-  std::vector<std::size_t> owners;
-  owners.reserve(records_.size());
-  for (const auto& [node, rec] : records_) owners.push_back(node);
-  std::sort(owners.begin(), owners.end());
-  out.u64(owners.size());
-  for (std::size_t node : owners) {
-    const DropRecord& rec = records_.at(node);
-    out.u64(node);
+  out.u64(records_.size());
+  for (const Known& known : records_) {
+    const DropRecord& rec = *known.record;
+    out.u64(known.owner);
     out.f64(rec.record_time);
     out.u64(rec.dropped.size());
     for (std::uint64_t m : rec.dropped) out.u64(m);
@@ -105,26 +151,24 @@ void DroppedList::load_state(snapshot::ArchiveReader& in) {
   DTN_REQUIRE(owner == owner_, "dropped-list: snapshot belongs to another node");
   records_.clear();
   counts_.clear();
-  std::uint64_t prev_node = 0;
   const std::uint64_t n_records = in.u64();
   for (std::uint64_t i = 0; i < n_records; ++i) {
-    const std::uint64_t node = in.u64();
+    const auto node = static_cast<std::size_t>(in.u64());
     // Owners are saved strictly ascending; a repeat would be indexed
-    // twice into counts_ while emplace kept only one record.
-    DTN_REQUIRE(i == 0 || node > prev_node,
+    // twice into counts_ and break the owner-sorted lookups.
+    DTN_REQUIRE(i == 0 || node > records_.back().owner,
                 "dropped-list: owners repeated or out of order");
-    prev_node = node;
-    DropRecord rec;
-    rec.record_time = in.f64();
+    auto rec = std::make_shared<DropRecord>();
+    rec->record_time = in.f64();
     const std::uint64_t n_msgs = in.u64();
     for (std::uint64_t j = 0; j < n_msgs; ++j) {
       const std::uint64_t msg = in.u64();
-      DTN_REQUIRE(rec.dropped.empty() || msg > rec.dropped.back(),
+      DTN_REQUIRE(rec->dropped.empty() || msg > rec->dropped.back(),
                   "dropped-list: message ids not strictly ascending");
-      rec.dropped.push_back(msg);
+      rec->dropped.push_back(msg);
     }
-    index_add(rec);
-    records_.emplace(static_cast<std::size_t>(node), std::move(rec));
+    index_add(*rec);
+    records_.push_back(Known{node, std::move(rec)});
   }
   in.end_section();
 }

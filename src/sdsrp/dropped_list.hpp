@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -22,9 +23,11 @@ class ArchiveReader;
 
 namespace dtn::sdsrp {
 
-/// One node's drop record as gossiped through the network. The ids are
-/// kept strictly ascending, so a gossip merge copies one flat vector and
-/// a save writes it as-is, with no copy or sort.
+/// One node's drop record as gossiped through the network. Records are
+/// immutable once stored and shared between nodes: a gossip merge adopts
+/// the pointer, and the owner replaces its own record (copy-on-write)
+/// rather than editing it. The ids are strictly ascending, so a save
+/// writes them as-is, with no copy or sort.
 struct DropRecord {
   std::vector<std::uint64_t> dropped;  ///< message ids, strictly ascending
   double record_time = -1.0;           ///< stamped by the owner only
@@ -60,7 +63,7 @@ class DroppedList {
 
   std::size_t known_records() const { return records_.size(); }
 
-  /// Snapshot/restore: serializes all known records in canonical (sorted)
+  /// Snapshot/restore: serializes all known records in canonical (owner)
   /// order; the counts_ index is rebuilt on load. load_state rejects a
   /// stream whose owners or ids are not strictly ascending (a repeated
   /// owner would otherwise inflate d̂).
@@ -68,11 +71,16 @@ class DroppedList {
   void load_state(snapshot::ArchiveReader& in);
 
  private:
+  struct Known {
+    std::size_t owner;
+    std::shared_ptr<const DropRecord> record;  ///< never null
+  };
+
   void index_add(const DropRecord& rec);
   void index_replace(const DropRecord& old_rec, const DropRecord& new_rec);
 
   std::size_t owner_;
-  std::unordered_map<std::size_t, DropRecord> records_;  ///< by owner node id
+  std::vector<Known> records_;  ///< strictly ascending by owner
   /// Aggregated index: message id -> number of records containing it.
   /// Kept in sync by record/merge/forget so count_drops is O(1) — it is
   /// evaluated once per priority computation, which is the simulator's

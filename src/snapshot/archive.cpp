@@ -9,19 +9,19 @@
 namespace dtn::snapshot {
 
 void ArchiveWriter::str(const std::string& v) {
-  tagged(Tag::kString, v.size(), 8);
+  tagged<8>(Tag::kString, v.size());
   raw(v.data(), v.size());
 }
 
 void ArchiveWriter::begin_section(const std::string& name) {
-  tagged(Tag::kSectionBegin, name.size(), 8);
+  tagged<8>(Tag::kSectionBegin, name.size());
   raw(name.data(), name.size());
   ++depth_;
 }
 
 void ArchiveWriter::end_section() {
   DTN_REQUIRE(depth_ > 0, "archive: end_section without matching begin");
-  tagged(Tag::kSectionEnd, 0, 0);
+  tagged<0>(Tag::kSectionEnd, 0);
   --depth_;
 }
 
@@ -29,6 +29,13 @@ const std::vector<std::uint8_t>& ArchiveWriter::bytes() const {
   DTN_REQUIRE(mode_ == Mode::kBuffer, "archive: digest-only writer has no bytes");
   DTN_REQUIRE(depth_ == 0, "archive: unbalanced sections");
   return buf_;
+}
+
+std::uint64_t ArchiveWriter::digest() const {
+  if (mode_ == Mode::kDigestOnly) return hash_.digest();
+  Fnv1a h;
+  h.update(buf_.data(), buf_.size());
+  return h.digest();
 }
 
 void ArchiveReader::raw(void* p, std::size_t n) {
@@ -143,11 +150,11 @@ void write_archive_file(const std::string& path, const ArchiveWriter& w) {
   put_le(head, kArchiveMagic, 4);
   put_le(head + 4, kArchiveVersion, 4);
   put_le(head + 8, payload.size(), 8);
-  // The writer hashed exactly the payload bytes as it produced them.
   std::uint8_t trailer[kTrailerBytes];
   put_le(trailer, w.digest(), 8);
 
   const std::string tmp = path + ".tmp";
+  bool written = false;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     DTN_REQUIRE(os.good(), "archive: cannot open for writing: " + tmp);
@@ -155,11 +162,15 @@ void write_archive_file(const std::string& path, const ArchiveWriter& w) {
     os.write(reinterpret_cast<const char*>(payload.data()),
              static_cast<std::streamsize>(payload.size()));
     os.write(reinterpret_cast<const char*>(trailer), sizeof trailer);
-    os.flush();
-    DTN_REQUIRE(os.good(), "archive: write failed: " + tmp);
+    os.close();
+    written = !os.fail();
   }
-  DTN_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "archive: rename failed: " + path);
+  const bool renamed = written && std::rename(tmp.c_str(), path.c_str()) == 0;
+  // A failed write (a full disk) or rename must not leave the partial
+  // temporary file behind.
+  if (!renamed) std::remove(tmp.c_str());
+  DTN_REQUIRE(written, "archive: write failed: " + tmp);
+  DTN_REQUIRE(renamed, "archive: rename failed: " + path);
 }
 
 ArchiveReader read_archive_file(const std::string& path) {

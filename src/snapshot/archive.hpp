@@ -3,9 +3,10 @@
 // The writer produces a canonical little-endian byte stream: every value
 // is prefixed with a one-byte type tag, and logical groups are wrapped in
 // named sections. The same stream feeds two consumers:
-//   * checkpoint files (save/restore of a World mid-run), and
-//   * the FNV-1a state digest (World::digest) — the writer hashes every
-//     byte as it goes, so a digest-only pass never allocates the buffer.
+//   * checkpoint files (save/restore of a World mid-run) — the writer only
+//     appends bytes, and the file writer hashes the finished payload once;
+//   * the FNV-1a state digest (World::digest) — a digest-only writer hashes
+//     every byte as it goes and never allocates the buffer.
 // Canonical encoding is what makes digests comparable across runs,
 // platforms and processes.
 //
@@ -15,9 +16,11 @@
 // corrupted checkpoint is never silently accepted.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -76,7 +79,7 @@ enum class Tag : std::uint8_t {
 class ArchiveWriter {
  public:
   enum class Mode {
-    kBuffer,      ///< accumulate bytes (checkpoints) and hash
+    kBuffer,      ///< accumulate bytes (checkpoints)
     kDigestOnly,  ///< hash only — nothing is stored (World::digest)
   };
 
@@ -87,14 +90,14 @@ class ArchiveWriter {
   /// semantic state alone.
   bool digest_only() const { return mode_ == Mode::kDigestOnly; }
 
-  void u8(std::uint8_t v) { tagged(Tag::kU8, v, 1); }
-  void u32(std::uint32_t v) { tagged(Tag::kU32, v, 4); }
-  void u64(std::uint64_t v) { tagged(Tag::kU64, v, 8); }
+  void u8(std::uint8_t v) { tagged<1>(Tag::kU8, v); }
+  void u32(std::uint32_t v) { tagged<4>(Tag::kU32, v); }
+  void u64(std::uint64_t v) { tagged<8>(Tag::kU64, v); }
   void i64(std::int64_t v) {
-    tagged(Tag::kI64, static_cast<std::uint64_t>(v), 8);
+    tagged<8>(Tag::kI64, static_cast<std::uint64_t>(v));
   }
-  void f64(double v) { tagged(Tag::kF64, std::bit_cast<std::uint64_t>(v), 8); }
-  void boolean(bool v) { tagged(Tag::kBool, v ? 1 : 0, 1); }
+  void f64(double v) { tagged<8>(Tag::kF64, std::bit_cast<std::uint64_t>(v)); }
+  void boolean(bool v) { tagged<1>(Tag::kBool, v ? 1 : 0); }
   void str(const std::string& v);
 
   /// Named section bracket; sections must nest and balance.
@@ -113,36 +116,64 @@ class ArchiveWriter {
 
   /// Serialized payload (buffer mode only; sections must be balanced).
   const std::vector<std::uint8_t>& bytes() const;
-  /// FNV-1a over every byte written so far (both modes) — in buffer mode
-  /// exactly the hash of bytes(), which write_archive_file uses as the
-  /// file trailer.
-  std::uint64_t digest() const { return hash_.digest(); }
-  std::size_t bytes_written() const { return written_; }
+  /// FNV-1a over every byte written so far. Digest mode keeps it as a
+  /// running hash; buffer mode hashes bytes() once per call.
+  std::uint64_t digest() const;
+  std::size_t bytes_written() const {
+    return mode_ == Mode::kBuffer ? buf_.size() : written_;
+  }
 
  private:
-  /// Appends a tag byte and the low `width` bytes of `v` little-endian,
-  /// as one piece.
-  void tagged(Tag t, std::uint64_t v, std::size_t width) {
-    std::uint8_t b[9];
-    b[0] = static_cast<std::uint8_t>(t);
-    for (std::size_t i = 0; i < width; ++i) {
-      b[1 + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  /// Appends a tag byte and the low `Width` bytes of `v` little-endian:
+  /// in place at the end of the buffer, or staged for the running hash.
+  /// The width is a template argument so each append inlines to a few
+  /// stores.
+  template <std::size_t Width>
+  void tagged(Tag t, std::uint64_t v) {
+    if (mode_ == Mode::kBuffer) {
+      encode<Width>(grow(1 + Width), t, v);
+    } else {
+      std::uint8_t staged[1 + Width];
+      encode<Width>(staged, t, v);
+      hash_.update(staged, 1 + Width);
+      written_ += 1 + Width;
     }
-    raw(b, 1 + width);
+  }
+  template <std::size_t Width>
+  static void encode(std::uint8_t* p, Tag t, std::uint64_t v) {
+    p[0] = static_cast<std::uint8_t>(t);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p + 1, &v, Width);
+    } else {
+      for (std::size_t i = 0; i < Width; ++i) {
+        p[1 + i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
   }
   void raw(const void* p, std::size_t n) {
-    hash_.update(p, n);
-    written_ += n;
     if (mode_ == Mode::kBuffer) {
-      const auto* b = static_cast<const std::uint8_t*>(p);
-      buf_.insert(buf_.end(), b, b + n);
+      if (n != 0) std::memcpy(grow(n), p, n);
+    } else {
+      hash_.update(p, n);
+      written_ += n;
     }
+  }
+  /// Extends the buffer by exactly `n` bytes and returns where they start.
+  /// Capacity doubles ahead of need, but only written bytes are ever
+  /// initialized, so untouched capacity costs no resident memory.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = buf_.size();
+    if (buf_.capacity() - at < n) {
+      buf_.reserve(std::max(2 * buf_.capacity(), at + n));
+    }
+    buf_.resize(at + n);
+    return buf_.data() + at;
   }
 
   Mode mode_;
-  Fnv1a hash_;
+  Fnv1a hash_;               ///< digest mode only
   std::vector<std::uint8_t> buf_;
-  std::size_t written_ = 0;
+  std::size_t written_ = 0;  ///< digest mode only
   int depth_ = 0;
 };
 
@@ -186,11 +217,14 @@ class ArchiveReader {
 };
 
 /// Writes the archive as a framed file: magic, version, payload length,
-/// payload, FNV-1a digest trailer (the writer's own digest(), so the
-/// payload is neither hashed again nor copied). The write goes through a
-/// temporary file + rename so a crash mid-write never leaves a half
-/// checkpoint at `path`. The writer must be in buffer mode with balanced
-/// sections.
+/// payload, FNV-1a digest trailer (hashed here, in one pass over the
+/// writer's buffer, which is written without a copy). The write goes
+/// through a temporary file + rename so a crash mid-write never leaves a
+/// half checkpoint at `path`; if the write or the rename fails, the
+/// temporary file is removed before the PreconditionError is thrown. The
+/// writer must be in buffer mode with balanced sections, and must not be
+/// modified until the call returns (run_scenario calls it on a helper
+/// thread).
 void write_archive_file(const std::string& path, const ArchiveWriter& w);
 
 /// Reads and validates a framed archive file (magic, version, length,

@@ -119,6 +119,33 @@ TEST(DroppedList, AdoptingNewerRecordMovesCountsToItsIds) {
   EXPECT_DOUBLE_EQ(a.count_drops(30), 1.0);
 }
 
+TEST(DroppedList, OwnerChangesAfterGossipLeaveCopiesUnchanged) {
+  // Records are shared between the lists that heard them: each of b's
+  // changes below starts from a record another list holds, and must leave
+  // that list's copy as it was.
+  DroppedList a(0), b(1), c(2);
+  b.record_local_drop(10, 1.0);
+  b.record_local_drop(20, 2.0);
+  a.merge_from(b);  // a holds b@2 {10, 20}
+  snapshot::ArchiveWriter a_before;
+  a.save_state(a_before);
+  b.record_local_drop(30, 3.0);
+  c.merge_from(b);  // c holds b@3 {10, 20, 30}
+  snapshot::ArchiveWriter c_before;
+  c.save_state(c_before);
+  b.forget_message(10);
+
+  EXPECT_DOUBLE_EQ(a.count_drops(30), 0.0);
+  EXPECT_DOUBLE_EQ(a.count_drops(10), 1.0);
+  snapshot::ArchiveWriter a_after;
+  a.save_state(a_after);
+  EXPECT_EQ(a_after.bytes(), a_before.bytes());
+  EXPECT_DOUBLE_EQ(c.count_drops(10), 1.0);
+  snapshot::ArchiveWriter c_after;
+  c.save_state(c_after);
+  EXPECT_EQ(c_after.bytes(), c_before.bytes());
+}
+
 TEST(DroppedList, RecordingSameDropTwiceCountsOnce) {
   DroppedList d(3);
   d.record_local_drop(10, 5.0);

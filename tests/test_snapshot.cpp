@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,11 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
 // --- archive format ---
@@ -186,6 +192,20 @@ TEST(ArchiveFile, TrailingBytesRejected) {
 TEST(ArchiveFile, MissingFileThrows) {
   EXPECT_THROW(snapshot::read_archive_file(temp_path("no_such_file.bin")),
                PreconditionError);
+}
+
+TEST(ArchiveFile, FailedRenameLeavesNoTempFile) {
+  // A directory where the file goes: the temporary file is written, and
+  // the rename onto the directory fails.
+  const std::string path = temp_path("archive_onto_dir");
+  std::filesystem::remove_all(path);
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::create_directories(path);
+  snapshot::ArchiveWriter w;
+  w.u64(1);
+  EXPECT_THROW(snapshot::write_archive_file(path, w), PreconditionError);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove_all(path);
 }
 
 // --- save -> restore -> run-to-end equality ---
@@ -470,6 +490,81 @@ TEST(CheckpointedRuns, RunScenarioResumesFromCheckpoint) {
   EXPECT_EQ(warm.median_latency, cold.median_latency);
   EXPECT_EQ(warm.p95_latency, cold.p95_latency);
   EXPECT_GT(stats.created, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointedRuns, InterruptedRunLeavesItsLastSaveOnDisk) {
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  const std::string dir = temp_path("ckpt_interrupted");
+  std::filesystem::remove_all(dir);
+  const std::string stem = run_file_stem(dir, sc, "");
+
+  // Stop the run from the progress hook right after its 3rd save, while
+  // that save may still be being written.
+  struct Interrupted {};
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.interval_s = 500.0;
+  int saves = 0;
+  double stopped_at = 0.0;
+  ckpt.on_progress = [&](double now) {
+    if (++saves < 3) return;
+    stopped_at = now;
+    throw Interrupted{};
+  };
+  EXPECT_THROW(run_scenario(sc, nullptr, ckpt), Interrupted);
+  ASSERT_EQ(saves, 3);
+  EXPECT_FALSE(std::filesystem::exists(stem + ".ckpt.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(stem + ".done"));
+
+  // The unwound run left exactly the 3rd save on disk.
+  const std::string expected = temp_path("ckpt_interrupted_expected.ckpt");
+  {
+    auto world = build_world(sc);
+    DeliveredMessagesReport delivered;
+    world->add_observer(&delivered);
+    world->run_until(stopped_at);
+    snapshot::save_checkpoint(expected, sc, *world,
+                              [&delivered](snapshot::ArchiveWriter& out) {
+                                delivered.save_state(out);
+                              });
+  }
+  EXPECT_EQ(file_bytes(stem + ".ckpt"), file_bytes(expected));
+  std::remove(expected.c_str());
+
+  ckpt.on_progress = {};
+  const MetricPoint resumed = run_scenario(sc, nullptr, ckpt);
+  const MetricPoint cold = run_scenario(sc);
+  EXPECT_EQ(resumed.delivery_ratio, cold.delivery_ratio);
+  EXPECT_EQ(resumed.avg_hopcount, cold.avg_hopcount);
+  EXPECT_EQ(resumed.overhead_ratio, cold.overhead_ratio);
+  EXPECT_EQ(resumed.avg_latency, cold.avg_latency);
+  EXPECT_EQ(resumed.median_latency, cold.median_latency);
+  EXPECT_EQ(resumed.p95_latency, cold.p95_latency);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointedRuns, FailedCheckpointWriteFailsTheRun) {
+  const Scenario sc = small_paper("rwp", "fifo");
+  const std::string dir = temp_path("ckpt_write_fails");
+  std::filesystem::remove_all(dir);
+  const std::string stem = run_file_stem(dir, sc, "");
+  // A directory where the checkpoint goes: every save's rename fails on
+  // the helper thread, and the run must report it.
+  std::filesystem::create_directories(stem + ".ckpt");
+
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.interval_s = 1000.0;
+  try {
+    run_scenario(sc, nullptr, ckpt);
+    ADD_FAILURE() << "run_scenario did not report the failed write";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("rename failed"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(stem + ".ckpt.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(stem + ".done"));
   std::filesystem::remove_all(dir);
 }
 
