@@ -1,15 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels:
-// spatial-grid contact detection, priority evaluation (closed form vs
-// Taylor), buffer admission, dropped-list merge, checkpoint
-// serialization, the checkpoint hash and the state digest, and a full
-// world-step at paper scale.
+// spatial-grid contact detection (fixed area, and constant density up to
+// 100k nodes), priority evaluation (closed form vs Taylor), buffer
+// admission, dropped-list merge, checkpoint serialization, the checkpoint
+// hash and the state digest, and a full world-step at paper scale.
 //
 //   ./micro_kernel --benchmark_out=BENCH_micro_kernel.json
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/buffer/fifo.hpp"
 #include "src/buffer/sdsrp_policy.hpp"
@@ -56,6 +58,38 @@ void BM_SpatialGridRebuildAndPairs(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SpatialGridRebuildAndPairs)->Arg(100)->Arg(200)->Arg(1000);
+
+/// The contact layer's grid work at scale: n uniform positions at Table II
+/// density (100 nodes in 4500 x 3400 m, area scaled with n), one rebuild
+/// and one full pair collection at the tracker's 164 m cell (100 m range
+/// plus 64 m kinetic slack). Items are nodes.
+void BM_SpatialGridConstDensity(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double scale = std::sqrt(static_cast<double>(n) / 100.0);
+  const double reach = 164.0;
+  dtn::Rng rng(7);
+  std::vector<dtn::Vec2> pos;
+  pos.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos.push_back({rng.uniform(0, 4500 * scale), rng.uniform(0, 3400 * scale)});
+  }
+  dtn::SpatialGrid grid(reach);
+  grid.reserve_nodes(n);
+  std::vector<dtn::SpatialGrid::PairHit> hits;
+  for (auto _ : state) {
+    grid.rebuild(pos);
+    hits.clear();
+    grid.collect_pairs_within(reach, 0, n, hits);
+    benchmark::DoNotOptimize(hits.data());
+  }
+  state.counters["pairs"] = static_cast<double>(hits.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SpatialGridConstDensity)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PriorityEq10(benchmark::State& state) {
   dtn::sdsrp::PriorityInputs in;

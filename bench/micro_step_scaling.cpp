@@ -14,7 +14,7 @@
 //     full horizon;
 //   * `large-n-constant-density` (10k/100k nodes): the same density,
 //     exercising the data-oriented core — SoA hot state, arena-pooled
-//     messages, hierarchical grid (DESIGN.md §14). The legacy path's
+//     messages, dense spatial grid (DESIGN.md §14). The legacy path's
 //     O(N·messages) scans make full horizons impractical there, so the
 //     digest gate runs both paths over a short window and only the event
 //     path is timed in full.

@@ -78,9 +78,20 @@ std::unique_ptr<World> build_world(const Scenario& sc) {
       traffic.initial_copies = *compiled.initial_copies;
     }
   }
+  // Every model is created before any node, so consecutive same-size
+  // allocations lay them out back to back in node order and the per-step
+  // mobility passes stream through them instead of striding across
+  // interleaved Node objects. That relies on the model constructors
+  // allocating nothing of their own (true of all but the taxi fleet,
+  // which copies its hotspot list). The fork order (i + 1, node order)
+  // is unchanged, so every random stream and digest is too.
+  std::vector<MobilityPtr> models;
+  models.reserve(sc.n_nodes);
   for (std::size_t i = 0; i < sc.n_nodes; ++i) {
-    world->add_node(make_mobility(sc, master.fork(i + 1), i),
-                    sc.buffer_capacity, sc.estimator);
+    models.push_back(make_mobility(sc, master.fork(i + 1), i));
+  }
+  for (MobilityPtr& m : models) {
+    world->add_node(std::move(m), sc.buffer_capacity, sc.estimator);
   }
   world->enable_traffic(traffic, master.fork(0xA11CE).next_u64());
   // The fault stream forks with a tag no other consumer uses (0xB0,

@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include "src/util/error.hpp"
 
 namespace dtn {
+
+namespace {
+
+/// True when a floored cell coordinate fits in 32 bits, so the integer
+/// cast is defined and the key packing is lossless. NaN never fits.
+bool fits_cell(double f) { return f >= -2147483648.0 && f <= 2147483647.0; }
+
+}  // namespace
 
 SpatialGrid::SpatialGrid(double cell) : cell_(cell) {
   DTN_REQUIRE(cell > 0.0, "SpatialGrid: cell size must be positive");
@@ -16,12 +26,6 @@ void SpatialGrid::set_cell(double cell) {
   if (cell == cell_) return;
   cell_ = cell;
   rebuild_index();
-}
-
-SpatialGrid::CellKey SpatialGrid::key_of(Vec2 p) const {
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_));
-  return key(cx, cy);
 }
 
 void SpatialGrid::rebuild(const std::vector<Vec2>& positions) {
@@ -39,98 +43,85 @@ void SpatialGrid::rebuild_index() {
   const std::size_t n = positions_.size();
   slots_.resize(n);
   node_cell_.resize(n);
-  // Pass 1: fine cell per node + bounding box of occupied coarse tiles.
+  // Pass 1: fine cell per node + bounding box of occupied cells.
   std::int64_t min_cx = 0, max_cx = -1, min_cy = 0, max_cy = -1;
   for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 p = positions_[i];
-    const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_));
-    const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_));
+    const double fx = std::floor(positions_[i].x / cell_);
+    const double fy = std::floor(positions_[i].y / cell_);
+    if (!fits_cell(fx) || !fits_cell(fy)) {
+      positions_.clear();  // leave a consistent, empty grid behind
+      rebuild_index();
+      DTN_REQUIRE(false, "SpatialGrid: node " + std::to_string(i) +
+                             " lies outside the 32-bit cell range");
+    }
+    const auto cx = static_cast<std::int64_t>(fx);
+    const auto cy = static_cast<std::int64_t>(fy);
     node_cell_[i] = key(cx, cy);
-    const std::int64_t ccx = cx >> kCoarseShift;  // floor division
-    const std::int64_t ccy = cy >> kCoarseShift;
     if (i == 0) {
-      min_cx = max_cx = ccx;
-      min_cy = max_cy = ccy;
+      min_cx = max_cx = cx;
+      min_cy = max_cy = cy;
     } else {
-      min_cx = std::min(min_cx, ccx);
-      max_cx = std::max(max_cx, ccx);
-      min_cy = std::min(min_cy, ccy);
-      max_cy = std::max(max_cy, ccy);
+      min_cx = std::min(min_cx, cx);
+      max_cx = std::max(max_cx, cx);
+      min_cy = std::min(min_cy, cy);
+      max_cy = std::max(max_cy, cy);
     }
   }
   const std::int64_t cols = max_cx - min_cx + 1;
   const std::int64_t rows = max_cy - min_cy + 1;
-  hier_ = n > 0 && cols > 0 && rows > 0 && cols <= kMaxCoarseCells &&
-          rows <= kMaxCoarseCells && cols * rows <= kMaxCoarseCells;
-  if (!hier_) {
+  const std::int64_t budget = std::max(
+      kDenseCellsPerNode * static_cast<std::int64_t>(n), kMinDenseCells);
+  // rows * cols <= budget, without overflow (cols >= 1 when n > 0).
+  dense_ = n > 0 && rows <= budget / cols;
+  if (!dense_) {
     rebuild_flat();
     return;
   }
-  coarse_min_x_ = min_cx;
-  coarse_min_y_ = min_cy;
-  coarse_cols_ = cols;
-  coarse_rows_ = rows;
-  const auto tiles = static_cast<std::size_t>(cols * rows);
-  // Counting sort by coarse tile. coarse_start_ becomes the prefix-sum
-  // directory; coarse_fill_ the per-tile placement cursors.
-  coarse_start_.assign(tiles + 1, 0);
+  min_cx_ = min_cx;
+  min_cy_ = min_cy;
+  cols_ = cols;
+  rows_ = rows;
+  const auto cells = static_cast<std::size_t>(cols * rows);
+  // Counting sort into slots. The per-cell counts become inclusive prefix
+  // sums (each cell's end) and serve as the fill cursors: scattering the
+  // nodes in reverse order moves every entry down to its cell's start and
+  // leaves each cell's nodes ascending.
+  cell_start_.assign(cells + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t t = coarse_index(unpack_cx(node_cell_[i]),
-                                       unpack_cy(node_cell_[i]));
-    ++coarse_start_[t + 1];
+    const CellKey k = node_cell_[i];
+    ++cell_start_[dense_index(unpack_cx(k), unpack_cy(k))];
   }
-  for (std::size_t t = 1; t <= tiles; ++t) {
-    coarse_start_[t] += coarse_start_[t - 1];
+  for (std::size_t c = 1; c < cells; ++c) {
+    cell_start_[c] += cell_start_[c - 1];
   }
-  coarse_fill_.assign(coarse_start_.begin(), coarse_start_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t t = coarse_index(unpack_cx(node_cell_[i]),
-                                       unpack_cy(node_cell_[i]));
-    slots_[coarse_fill_[t]++] =
-        Slot{node_cell_[i], static_cast<std::uint32_t>(i)};
-  }
-  // Per-tile sort by (fine cell, node) — tiles hold only the nodes of an
-  // 8x8 cell patch, so these sorts stay tiny even with dense clusters.
-  for (std::size_t t = 0; t < tiles; ++t) {
-    std::sort(slots_.begin() + coarse_start_[t],
-              slots_.begin() + coarse_start_[t + 1],
-              [](const Slot& a, const Slot& b) {
-                if (a.cell != b.cell) return a.cell < b.cell;
-                return a.node < b.node;
-              });
+  cell_start_[cells] = static_cast<std::uint32_t>(n);
+  for (std::size_t i = n; i-- > 0;) {
+    const CellKey k = node_cell_[i];
+    slots_[--cell_start_[dense_index(unpack_cx(k), unpack_cy(k))]] =
+        static_cast<std::uint32_t>(i);
   }
   cell_keys_.clear();
-  cell_start_.clear();
 }
 
 void SpatialGrid::rebuild_flat() {
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    slots_[i].cell = node_cell_[i];
-    slots_[i].node = static_cast<std::uint32_t>(i);
-  }
-  std::sort(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
-    if (a.cell != b.cell) return a.cell < b.cell;
-    return a.node < b.node;
-  });
+  std::iota(slots_.begin(), slots_.end(), 0u);
+  std::sort(slots_.begin(), slots_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              if (node_cell_[a] != node_cell_[b]) {
+                return node_cell_[a] < node_cell_[b];
+              }
+              return a < b;
+            });
   cell_keys_.clear();
   cell_start_.clear();
   for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (cell_keys_.empty() || cell_keys_.back() != slots_[s].cell) {
-      cell_keys_.push_back(slots_[s].cell);
+    const CellKey k = node_cell_[slots_[s]];
+    if (cell_keys_.empty() || cell_keys_.back() != k) {
+      cell_keys_.push_back(k);
       cell_start_.push_back(static_cast<std::uint32_t>(s));
     }
   }
   cell_start_.push_back(static_cast<std::uint32_t>(slots_.size()));
-  coarse_start_.clear();
-}
-
-std::size_t SpatialGrid::coarse_index(std::int64_t cx, std::int64_t cy) const {
-  const std::int64_t ccx = (cx >> kCoarseShift) - coarse_min_x_;
-  const std::int64_t ccy = (cy >> kCoarseShift) - coarse_min_y_;
-  if (ccx < 0 || ccx >= coarse_cols_ || ccy < 0 || ccy >= coarse_rows_) {
-    return SIZE_MAX;
-  }
-  return static_cast<std::size_t>(ccy * coarse_cols_ + ccx);
 }
 
 std::size_t SpatialGrid::find_cell(CellKey k) const {
@@ -142,24 +133,15 @@ std::size_t SpatialGrid::find_cell(CellKey k) const {
 void SpatialGrid::cell_span(std::int64_t cx, std::int64_t cy,
                             std::uint32_t* lo, std::uint32_t* hi) const {
   *lo = *hi = 0;
-  if (hier_) {
-    const std::size_t t = coarse_index(cx, cy);
-    if (t == SIZE_MAX) return;
-    const CellKey k = key(cx, cy);
-    const auto first = slots_.begin() + coarse_start_[t];
-    const auto last = slots_.begin() + coarse_start_[t + 1];
-    // The tile's slots are sorted by packed fine key; binary-search the
-    // cell's run within it.
-    const auto a = std::lower_bound(
-        first, last, k,
-        [](const Slot& s, CellKey kk) { return s.cell < kk; });
-    auto b = a;
-    while (b != last && b->cell == k) ++b;
-    *lo = static_cast<std::uint32_t>(a - slots_.begin());
-    *hi = static_cast<std::uint32_t>(b - slots_.begin());
-    return;
+  std::size_t c = SIZE_MAX;
+  if (dense_) {
+    if (cx >= min_cx_ && cx < min_cx_ + cols_ && cy >= min_cy_ &&
+        cy < min_cy_ + rows_) {
+      c = dense_index(cx, cy);
+    }
+  } else {
+    c = find_cell(key(cx, cy));
   }
-  const std::size_t c = find_cell(key(cx, cy));
   if (c == SIZE_MAX) return;
   *lo = cell_start_[c];
   *hi = cell_start_[c + 1];
@@ -194,41 +176,28 @@ void SpatialGrid::collect_pairs_within(double radius, std::size_t begin,
     const CellKey k = node_cell_[i];
     const std::int64_t cx = unpack_cx(k);
     const std::int64_t cy = unpack_cy(k);
-    if (hier_) {
-      // Column runs instead of 9 independent cell lookups: keys sort by
-      // (cx, cy), so within one coarse tile the cells (cx+dx, cy-1..cy+1)
-      // occupy one contiguous key range — one binary search + forward
-      // scan per column per tile (two tiles when the column straddles a
-      // vertical tile edge, which also keeps each segment sign-pure so
-      // the unsigned key order stays monotone in cy).
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        const std::int64_t col = cx + dx;
-        std::int64_t y0 = cy - 1;
-        while (y0 <= cy + 1) {
-          const std::int64_t ccy = y0 >> kCoarseShift;
-          const std::int64_t ytop =
-              std::min(cy + 1, (ccy << kCoarseShift) + (1 << kCoarseShift) - 1);
-          const std::size_t t = coarse_index(col, y0);
-          if (t != SIZE_MAX) {
-            const CellKey klo = key(col, y0);
-            const CellKey khi = key(col, ytop);
-            const auto first = slots_.begin() + coarse_start_[t];
-            const auto last = slots_.begin() + coarse_start_[t + 1];
-            auto s = std::lower_bound(
-                first, last, klo,
-                [](const Slot& sl, CellKey kk) { return sl.cell < kk; });
-            for (; s != last && s->cell <= khi; ++s) {
-              const std::size_t j = s->node;
-              if (j <= i) continue;
-              const double d2 = distance2(p, positions_[j]);
-              if (d2 <= r2) {
-                out.push_back(PairHit{static_cast<std::uint32_t>(i),
-                                      static_cast<std::uint32_t>(j), d2});
-              }
-            }
-          }
-          y0 = ytop + 1;
+    const auto scan = [&](std::uint32_t lo, std::uint32_t hi) {
+      for (std::uint32_t s = lo; s < hi; ++s) {
+        const std::size_t j = slots_[s];
+        if (j <= i) continue;
+        const double d2 = distance2(p, positions_[j]);
+        if (d2 <= r2) {
+          out.push_back(PairHit{static_cast<std::uint32_t>(i),
+                                static_cast<std::uint32_t>(j), d2});
         }
+      }
+    };
+    if (dense_) {
+      // The cells (x, cy-1..cy+1) of one stencil column are adjacent in
+      // the column-major directory: one slot range per column, clipped to
+      // the box (the node's own cell is always inside it).
+      const std::int64_t x0 = std::max(cx - 1, min_cx_);
+      const std::int64_t x1 = std::min(cx + 1, min_cx_ + cols_ - 1);
+      const std::int64_t y0 = std::max(cy - 1, min_cy_);
+      const std::int64_t y1 = std::min(cy + 1, min_cy_ + rows_ - 1);
+      for (std::int64_t x = x0; x <= x1; ++x) {
+        scan(cell_start_[dense_index(x, y0)],
+             cell_start_[dense_index(x, y1) + 1]);
       }
       continue;
     }
@@ -236,15 +205,7 @@ void SpatialGrid::collect_pairs_within(double radius, std::size_t begin,
       for (std::int64_t dy = -1; dy <= 1; ++dy) {
         std::uint32_t lo = 0, hi = 0;
         cell_span(cx + dx, cy + dy, &lo, &hi);
-        for (std::uint32_t s = lo; s < hi; ++s) {
-          const std::size_t j = slots_[s].node;
-          if (j <= i) continue;
-          const double d2 = distance2(p, positions_[j]);
-          if (d2 <= r2) {
-            out.push_back(PairHit{static_cast<std::uint32_t>(i),
-                                  static_cast<std::uint32_t>(j), d2});
-          }
-        }
+        scan(lo, hi);
       }
     }
   }
@@ -257,17 +218,21 @@ void SpatialGrid::collect_pairs_within(double radius, std::size_t begin,
 
 std::vector<std::size_t> SpatialGrid::query(Vec2 p, double radius,
                                             std::size_t exclude) const {
+  const double fx = std::floor(p.x / cell_);
+  const double fy = std::floor(p.y / cell_);
+  DTN_REQUIRE(fits_cell(fx) && fits_cell(fy),
+              "SpatialGrid: query point outside the 32-bit cell range");
   const double r2 = radius * radius;
   std::vector<std::size_t> out;
-  const auto cx = static_cast<std::int64_t>(std::floor(p.x / cell_));
-  const auto cy = static_cast<std::int64_t>(std::floor(p.y / cell_));
+  const auto cx = static_cast<std::int64_t>(fx);
+  const auto cy = static_cast<std::int64_t>(fy);
   const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_));
   for (std::int64_t dx = -reach; dx <= reach; ++dx) {
     for (std::int64_t dy = -reach; dy <= reach; ++dy) {
       std::uint32_t lo = 0, hi = 0;
       cell_span(cx + dx, cy + dy, &lo, &hi);
       for (std::uint32_t s = lo; s < hi; ++s) {
-        const std::size_t j = slots_[s].node;
+        const std::size_t j = slots_[s];
         if (j == exclude) continue;
         if (distance2(p, positions_[j]) <= r2) out.push_back(j);
       }

@@ -1,24 +1,26 @@
-// Hierarchical spatial hash grid for O(n) radius-limited neighbor queries.
+// Spatial hash grid for O(n) radius-limited neighbor queries.
 //
 // The contact detector rebuilds the grid each movement step and enumerates
 // all node pairs within transmission range without the O(n^2) scan. Two
-// layouts share one query interface (DESIGN.md §14):
+// layouts share one query interface (DESIGN.md §14.3):
 //
-//   * hierarchical (the default): fine cells of size `cell` are grouped
-//     8x8 into coarse tiles backed by a *dense* directory over the
-//     occupied bounding box. A rebuild is a counting sort of nodes into
-//     coarse buckets (O(n + tiles)) followed by tiny per-bucket sorts by
-//     (fine cell, node) — no global O(n log n) sort — and a fine-cell
-//     lookup is one directory index plus a binary search within its
-//     bucket, which stays shallow even for skewed dense clusters.
-//   * flat (fallback): the former global sorted (cell, node) slot array
-//     with a binary-searched sparse directory, used when positions are so
-//     spread out that a dense coarse directory would be unreasonably
-//     large (kMaxCoarseCells).
+//   * dense (the default): a directory with one entry per fine cell of
+//     size `cell` over the bounding box of occupied cells, column-major
+//     (x-major, y-minor). A rebuild is a counting sort of node ids into
+//     slots — O(n + cells), no comparison sort — that leaves each cell's
+//     nodes ascending. The three cells of one column of a node's 3x3
+//     stencil are adjacent in the directory and so form one contiguous
+//     slot range: a node's neighborhood is three pairs of directory
+//     reads, with no search.
+//   * flat (fallback): a global (cell, node)-sorted slot array with a
+//     binary-searched sparse directory, used when the bounding box holds
+//     more than max(16 n, 65,536) cells (positions spread far apart).
 //
 // Both layouts fill the same reused buffers, so a steady-state rebuild
 // performs no heap allocation, and every query sorts its output by
-// (i, j) — enumeration order is identical across layouts.
+// (i, j) — enumeration order is identical across layouts. Each cell
+// coordinate must fit in 32 bits; rebuild rejects a position outside
+// that range with PreconditionError.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,8 @@ class SpatialGrid {
   double cell() const { return cell_; }
 
   /// Replaces the content with `positions`; index i is the node id.
+  /// Throws PreconditionError, naming the node, when a position's cell
+  /// coordinate does not fit in 32 bits.
   void rebuild(const std::vector<Vec2>& positions);
 
   /// Calls fn(i, j) once per unordered pair with distance(pi,pj) <= radius,
@@ -75,22 +79,26 @@ class SpatialGrid {
 
   std::size_t size() const { return positions_.size(); }
 
-  /// True while the last rebuild used the hierarchical layout.
-  bool hierarchical() const { return hier_; }
+  /// True while the last rebuild used the dense layout.
+  bool dense() const { return dense_; }
 
   /// Pre-sizes the per-node buffers for an `n`-node fleet.
   void reserve_nodes(std::size_t n);
 
  private:
   using CellKey = std::int64_t;
-  /// Fine cells per coarse tile edge (8x8).
-  static constexpr std::int64_t kCoarseShift = 3;
-  /// Dense-directory budget; beyond this the flat layout takes over.
-  static constexpr std::int64_t kMaxCoarseCells = std::int64_t{1} << 21;
+  /// Dense-directory budget: cells allowed per node, and a floor so that
+  /// small fleets in large areas keep the dense layout.
+  static constexpr std::int64_t kDenseCellsPerNode = 16;
+  static constexpr std::int64_t kMinDenseCells = 65536;
 
-  CellKey key(std::int64_t cx, std::int64_t cy) const {
-    // Pack two 32-bit cell coordinates; fine for any realistic world.
-    return (cx << 32) ^ (cy & 0xFFFFFFFFLL);
+  static CellKey key(std::int64_t cx, std::int64_t cy) {
+    // Pack two 32-bit cell coordinates (rebuild enforces the range; a
+    // stencil neighbor one past it wraps harmlessly, as its nodes lie
+    // far beyond any query radius).
+    const auto ux = static_cast<std::uint64_t>(cx);
+    const auto uy = static_cast<std::uint64_t>(cy);
+    return static_cast<CellKey>((ux << 32) ^ (uy & 0xFFFFFFFFULL));
   }
   static std::int64_t unpack_cx(CellKey k) {
     return static_cast<std::int32_t>(
@@ -100,38 +108,34 @@ class SpatialGrid {
     return static_cast<std::int32_t>(
         static_cast<std::uint32_t>(k & 0xFFFFFFFFLL));
   }
-  CellKey key_of(Vec2 p) const;
+  /// Dense-directory index of fine cell (cx, cy), which must be in the box.
+  std::size_t dense_index(std::int64_t cx, std::int64_t cy) const {
+    return static_cast<std::size_t>((cx - min_cx_) * rows_ + (cy - min_cy_));
+  }
   void rebuild_index();
   void rebuild_flat();
-  /// Index into cell_keys_/cell_start_ for `k`, or npos (flat layout).
+  /// Index into cell_keys_ for `k`, or npos (flat layout).
   std::size_t find_cell(CellKey k) const;
-  /// Dense coarse-directory index for fine coords, or npos if outside.
-  std::size_t coarse_index(std::int64_t cx, std::int64_t cy) const;
   /// Slot range [lo, hi) of fine cell (cx, cy), empty when absent.
   /// Dispatches on the active layout.
   void cell_span(std::int64_t cx, std::int64_t cy, std::uint32_t* lo,
                  std::uint32_t* hi) const;
 
-  struct Slot {
-    CellKey cell = 0;
-    std::uint32_t node = 0;
-  };
-
   double cell_;
   std::vector<Vec2> positions_;
-  std::vector<Slot> slots_;  ///< hier: coarse-bucketed; flat: global sort
+  std::vector<CellKey> node_cell_;  ///< per-node fine cell key
+  std::vector<std::uint32_t> slots_;  ///< node ids in (cell, node) order
+  /// Cell c holds slots [cell_start_[c], cell_start_[c + 1]). Dense: c is
+  /// the box index, size cells + 1. Flat: c indexes cell_keys_.
+  std::vector<std::uint32_t> cell_start_;
+  // --- dense layout: the box of occupied fine cells ---
+  bool dense_ = false;
+  std::int64_t min_cx_ = 0;
+  std::int64_t min_cy_ = 0;
+  std::int64_t cols_ = 0;
+  std::int64_t rows_ = 0;
   // --- flat layout ---
-  std::vector<CellKey> cell_keys_;        ///< distinct cells, ascending
-  std::vector<std::uint32_t> cell_start_; ///< slot ranges; size = cells + 1
-  // --- hierarchical layout ---
-  bool hier_ = false;
-  std::int64_t coarse_min_x_ = 0;  ///< bbox of occupied coarse tiles
-  std::int64_t coarse_min_y_ = 0;
-  std::int64_t coarse_cols_ = 0;
-  std::int64_t coarse_rows_ = 0;
-  std::vector<std::uint32_t> coarse_start_;  ///< prefix sums; tiles + 1
-  std::vector<std::uint32_t> coarse_fill_;   ///< counting-sort cursors
-  std::vector<CellKey> node_cell_;           ///< per-node fine cell key
+  std::vector<CellKey> cell_keys_;  ///< distinct cells, ascending
   mutable std::vector<PairHit> pair_scratch_;
 };
 

@@ -3,6 +3,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/geo/rect.hpp"
 #include "src/geo/spatial_grid.hpp"
@@ -240,9 +243,41 @@ TEST(SpatialGrid, RebuildReusesCapacityAcrossFrames) {
                                                                 {2, 3}}));
 }
 
-// --- hierarchical layout (DESIGN.md §14) ----------------------------------
+TEST(SpatialGrid, RejectsPositionsOutsideTheKeyRange) {
+  // A cell coordinate must fit in 32 bits: trace files can carry any
+  // finite double, and casting one out of range would be undefined.
+  SpatialGrid grid(1.0);
+  try {
+    grid.rebuild({{0, 0}, {1e300, 0}});
+    ADD_FAILURE() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(grid.size(), 0u);  // a failed rebuild leaves an empty grid
+  EXPECT_THROW(grid.rebuild({{0, -1e300}}), PreconditionError);
+  EXPECT_THROW(grid.rebuild({{0, 0}, {NAN, 0}}), PreconditionError);
+  EXPECT_THROW(grid.rebuild({{2147483648.0, 0}}), PreconditionError);
+  EXPECT_THROW(grid.query({1e300, 0}, 1.0), PreconditionError);
+  // The extreme accepted cells, -2^31 and 2^31 - 1, still enumerate like
+  // brute force.
+  const std::vector<Vec2> pos = {{0, 0},
+                                 {2147483647.25, 5.0},
+                                 {2147483647.75, 5.5},
+                                 {-2147483647.75, 5.2},
+                                 {-2147483647.5, 4.8}};
+  grid.rebuild(pos);
+  std::set<std::pair<std::size_t, std::size_t>> from_grid;
+  grid.for_each_pair_within(1.0, [&](std::size_t i, std::size_t j) {
+    from_grid.emplace(i, j);
+  });
+  EXPECT_EQ(from_grid, brute_pairs(pos, 1.0));
+  EXPECT_EQ(from_grid.size(), 2u);
+}
 
-TEST(SpatialGridHierarchy, CompactCloudsUseTheHierarchicalLayout) {
+// --- dense layout and flat fallback (DESIGN.md §14.3) ---------------------
+
+TEST(SpatialGridDense, CompactCloudsUseTheDenseLayout) {
   Rng rng(14);
   std::vector<Vec2> pos;
   for (int i = 0; i < 50; ++i) {
@@ -250,24 +285,23 @@ TEST(SpatialGridHierarchy, CompactCloudsUseTheHierarchicalLayout) {
   }
   SpatialGrid grid(100.0);
   grid.rebuild(pos);
-  EXPECT_TRUE(grid.hierarchical());
+  EXPECT_TRUE(grid.dense());
   grid.rebuild({});  // empty fleet degrades gracefully
-  EXPECT_FALSE(grid.hierarchical());
+  EXPECT_FALSE(grid.dense());
   int pairs = 0;
   grid.for_each_pair_within(100.0, [&](std::size_t, std::size_t) { ++pairs; });
   EXPECT_EQ(pairs, 0);
 }
 
-TEST(SpatialGridHierarchy, FlatFallbackBeyondCoarseBudgetMatchesBruteForce) {
-  // Two clusters ~2e8 cells apart: a dense coarse directory over the
-  // bounding box would need far more than kMaxCoarseCells tiles, so the
-  // rebuild must fall back to the flat layout — and still enumerate the
-  // same pairs.
+TEST(SpatialGridDense, FlatFallbackBeyondDenseBudgetMatchesBruteForce) {
+  // Two clusters ~2e8 cells apart: a dense directory over the bounding
+  // box would need far more than its cell budget, so the rebuild must
+  // fall back to the flat layout — and still enumerate the same pairs.
   std::vector<Vec2> pos = {{0, 0},         {0.5, 0.3},       {1.2, 0.0},
                            {2.0e8, 5.0},   {2.0e8 + 0.8, 5.2}};
   SpatialGrid grid(1.0);
   grid.rebuild(pos);
-  EXPECT_FALSE(grid.hierarchical());
+  EXPECT_FALSE(grid.dense());
   std::set<std::pair<std::size_t, std::size_t>> from_grid;
   grid.for_each_pair_within(1.0, [&](std::size_t i, std::size_t j) {
     from_grid.emplace(i, j);
@@ -275,11 +309,11 @@ TEST(SpatialGridHierarchy, FlatFallbackBeyondCoarseBudgetMatchesBruteForce) {
   EXPECT_EQ(from_grid, brute_pairs(pos, 1.0));
 }
 
-TEST(SpatialGridHierarchy, BoundaryLatticeAcrossCoarseTileEdges) {
-  // Nodes on exact fine-cell corners spanning several 8x8 coarse tiles,
-  // straddling the tile seam at cell index 8 and the negative seam at 0:
-  // the dense directory lookup and the in-tile binary search must agree
-  // with brute force on every exactly-at-radius pair.
+TEST(SpatialGridDense, BoundaryLatticeAcrossColumnSeams) {
+  // Nodes on exact fine-cell corners spanning many directory columns,
+  // across the negative seam at cell index 0 and up to the box's top and
+  // bottom rows, where each stencil column is clipped: the column slot
+  // ranges must agree with brute force on every exactly-at-radius pair.
   const double cell = 10.0;
   std::vector<Vec2> pos;
   for (int x = -10; x <= 10; ++x) {
@@ -287,7 +321,7 @@ TEST(SpatialGridHierarchy, BoundaryLatticeAcrossCoarseTileEdges) {
   }
   SpatialGrid grid(cell);
   grid.rebuild(pos);
-  EXPECT_TRUE(grid.hierarchical());
+  EXPECT_TRUE(grid.dense());
   std::set<std::pair<std::size_t, std::size_t>> from_grid;
   std::vector<std::pair<std::size_t, std::size_t>> order;
   grid.for_each_pair_within(cell, [&](std::size_t i, std::size_t j) {
@@ -298,7 +332,7 @@ TEST(SpatialGridHierarchy, BoundaryLatticeAcrossCoarseTileEdges) {
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(SpatialGridHierarchy, NegativeQuadrantsMatchBruteForce) {
+TEST(SpatialGridDense, NegativeQuadrantsMatchBruteForce) {
   Rng rng(15);
   std::vector<Vec2> pos;
   for (int i = 0; i < 180; ++i) {
@@ -307,7 +341,7 @@ TEST(SpatialGridHierarchy, NegativeQuadrantsMatchBruteForce) {
   const double radius = 40.0;
   SpatialGrid grid(radius);
   grid.rebuild(pos);
-  EXPECT_TRUE(grid.hierarchical());
+  EXPECT_TRUE(grid.dense());
   std::set<std::pair<std::size_t, std::size_t>> from_grid;
   grid.for_each_pair_within(radius, [&](std::size_t i, std::size_t j) {
     from_grid.emplace(i, j);
@@ -315,10 +349,10 @@ TEST(SpatialGridHierarchy, NegativeQuadrantsMatchBruteForce) {
   EXPECT_EQ(from_grid, brute_pairs(pos, radius));
 }
 
-TEST(SpatialGridHierarchy, SkewedDenseClusterMatchesBruteForce) {
+TEST(SpatialGridDense, SkewedDenseClusterMatchesBruteForce) {
   // Pathological occupancy for a bucketed index: 300 nodes piled into a
   // couple of fine cells (some sharing exact positions) plus a sparse
-  // fringe across other coarse tiles.
+  // fringe across the rest of the box.
   Rng rng(16);
   std::vector<Vec2> pos;
   for (int i = 0; i < 300; ++i) {
@@ -331,7 +365,7 @@ TEST(SpatialGridHierarchy, SkewedDenseClusterMatchesBruteForce) {
   const double radius = 25.0;
   SpatialGrid grid(radius);
   grid.rebuild(pos);
-  EXPECT_TRUE(grid.hierarchical());
+  EXPECT_TRUE(grid.dense());
   std::set<std::pair<std::size_t, std::size_t>> from_grid;
   std::vector<std::pair<std::size_t, std::size_t>> order;
   grid.for_each_pair_within(radius, [&](std::size_t i, std::size_t j) {
@@ -342,20 +376,21 @@ TEST(SpatialGridHierarchy, SkewedDenseClusterMatchesBruteForce) {
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(SpatialGridHierarchy, QueryReachesAcrossTiles) {
-  // query() may use radii above the cell size (multi-ring reach); rings
-  // that cross coarse-tile seams must resolve through the directory.
+TEST(SpatialGridDense, QueryReachesAcrossRings) {
+  // query() may use radii above the cell size (multi-ring reach); every
+  // ring cell must resolve through the directory, including cells past
+  // the box edge.
   const double cell = 10.0;
   std::vector<Vec2> pos;
   for (int x = 0; x <= 20; ++x) pos.push_back({x * cell, 0.0});
   SpatialGrid grid(cell);
   grid.rebuild(pos);
-  ASSERT_TRUE(grid.hierarchical());
+  ASSERT_TRUE(grid.dense());
   const auto near = grid.query({100.0, 0.0}, 35.0, /*exclude=*/10);
   EXPECT_EQ(near, (std::vector<std::size_t>{7, 8, 9, 11, 12, 13}));
 }
 
-TEST(SpatialGridHierarchy, ShardedCollectConcatenationMatchesFullRange) {
+TEST(SpatialGridDense, ShardedCollectConcatenationMatchesFullRange) {
   Rng rng(17);
   std::vector<Vec2> pos;
   for (int i = 0; i < 250; ++i) {
@@ -379,7 +414,7 @@ TEST(SpatialGridHierarchy, ShardedCollectConcatenationMatchesFullRange) {
   }
 }
 
-TEST(SpatialGridHierarchy, ReserveThenRebuildKeepsResults) {
+TEST(SpatialGridDense, ReserveThenRebuildKeepsResults) {
   SpatialGrid grid(20.0);
   grid.reserve_nodes(64);
   std::vector<Vec2> pos = {{0, 0}, {10, 0}, {0, 15}, {300, 300}};
@@ -389,6 +424,80 @@ TEST(SpatialGridHierarchy, ReserveThenRebuildKeepsResults) {
     got.emplace(i, j);
   });
   EXPECT_EQ(got, brute_pairs(pos, 20.0));
+}
+
+// Every pair the grid reports, in emission order, with its d2.
+std::vector<std::tuple<std::size_t, std::size_t, double>> grid_hits(
+    const SpatialGrid& grid, double radius) {
+  std::vector<std::tuple<std::size_t, std::size_t, double>> out;
+  grid.for_each_pair_within(
+      radius, [&](std::size_t i, std::size_t j, double d2) {
+        out.emplace_back(i, j, d2);
+      });
+  return out;
+}
+
+TEST(SpatialGridDense, BudgetBoundarySelectsTheLayout) {
+  // 4,200 nodes budget max(16 * 4200, 65536) = 67,200 = 280 x 240 cells.
+  // Corner sentinels make the box exactly that; one more node in a 281st
+  // column (budget 67,216, box 67,440) tips the rebuild into the flat
+  // layout. The shared nodes' pairs must come out identically.
+  const double cell = 10.0;
+  const std::size_t n = 4200;
+  Rng rng(18);
+  std::vector<Vec2> pos = {{0.5, 0.5}, {279 * cell + 0.5, 239 * cell + 0.5}};
+  while (pos.size() < n) {
+    pos.push_back({rng.uniform(0, 280 * cell), rng.uniform(0, 240 * cell)});
+  }
+  SpatialGrid grid(cell);
+  grid.rebuild(pos);
+  EXPECT_TRUE(grid.dense());
+  const auto dense_hits = grid_hits(grid, cell);
+  std::set<std::pair<std::size_t, std::size_t>> dense_pairs;
+  for (const auto& [i, j, d2] : dense_hits) {
+    EXPECT_EQ(d2, distance2(pos[i], pos[j]));
+    dense_pairs.emplace(i, j);
+  }
+  EXPECT_EQ(dense_pairs, brute_pairs(pos, cell));
+
+  pos.push_back({280 * cell + 0.5, 120 * cell});
+  grid.rebuild(pos);
+  EXPECT_FALSE(grid.dense());
+  const auto flat_hits = grid_hits(grid, cell);
+  std::set<std::pair<std::size_t, std::size_t>> flat_pairs;
+  std::vector<std::tuple<std::size_t, std::size_t, double>> shared;
+  for (const auto& hit : flat_hits) {
+    flat_pairs.emplace(std::get<0>(hit), std::get<1>(hit));
+    if (std::get<1>(hit) < n) shared.push_back(hit);
+  }
+  EXPECT_EQ(flat_pairs, brute_pairs(pos, cell));
+  EXPECT_EQ(shared, dense_hits);
+}
+
+TEST(SpatialGridDense, TableIIDensityAtScaleMatchesBruteForce) {
+  // Table II density (100 nodes in 4500 x 3400 m) for 3,000 nodes, with
+  // the contact tracker's cell: 100 m range plus 64 m kinetic slack.
+  const std::size_t n = 3000;
+  const double scale = std::sqrt(static_cast<double>(n) / 100.0);
+  const double cell = 164.0;
+  Rng rng(19);
+  std::vector<Vec2> pos;
+  for (std::size_t i = 0; i < n; ++i) {
+    pos.push_back({rng.uniform(0, 4500 * scale), rng.uniform(0, 3400 * scale)});
+  }
+  SpatialGrid grid(cell);
+  grid.rebuild(pos);
+  EXPECT_TRUE(grid.dense());
+  std::set<std::pair<std::size_t, std::size_t>> from_grid;
+  std::vector<std::pair<std::size_t, std::size_t>> order;
+  grid.for_each_pair_within(cell, [&](std::size_t i, std::size_t j) {
+    from_grid.emplace(i, j);
+    order.emplace_back(i, j);
+  });
+  EXPECT_EQ(from_grid, brute_pairs(pos, cell));
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  // About 0.55 neighbors per node at this density: ~800 pairs.
+  EXPECT_GT(from_grid.size(), n / 5);
 }
 
 }  // namespace

@@ -200,7 +200,9 @@ TEST_P(PipelineParserRejects, WithPositionedDiagnostic) {
     FAIL() << "accepted malformed spec: " << bad.spec;
   } catch (const pipeline::PipelineError& e) {
     EXPECT_EQ(e.pos().line, bad.line) << e.what();
-    if (bad.col >= 0) EXPECT_EQ(e.pos().col, bad.col) << e.what();
+    if (bad.col >= 0) {
+      EXPECT_EQ(e.pos().col, bad.col) << e.what();
+    }
     EXPECT_NE(std::string(e.what()).find(bad.needle), std::string::npos)
         << "diagnostic \"" << e.what() << "\" lacks \"" << bad.needle << "\"";
     // Machine-checkable prefix: pipeline:LINE:COL:

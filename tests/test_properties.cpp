@@ -347,7 +347,9 @@ TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
         EXPECT_EQ(node.buffer().revision(), last_rev + removed.size());
         // Completeness: no expired unpinned resident survives.
         for (const auto& [id, e] : model) {
-          if (pinned.count(id) == 0) EXPECT_GT(e.expiry, now) << "msg " << id;
+          if (pinned.count(id) == 0) {
+            EXPECT_GT(e.expiry, now) << "msg " << id;
+          }
         }
       }
 

@@ -277,17 +277,17 @@ TEST(StepLoopScratch, SteadyStateStepLoopDoesNotAllocate) {
 #endif  // DTN_NO_ALLOC_COUNTER
 }
 
-TEST(StepLoopScratch, HierarchicalGridRebuildsDoNotAllocateInSteadyState) {
+TEST(StepLoopScratch, DenseGridRebuildsDoNotAllocateInSteadyState) {
 #ifdef DTN_NO_ALLOC_COUNTER
   GTEST_SKIP() << "allocation counter disabled under AddressSanitizer";
 #else
   // The stationary variant above never re-buckets the grid after warmup
   // (the kinetic budget is never spent). This one keeps the fleet moving
-  // so full grid passes — the hierarchical counting-sort rebuild included
-  // — keep running inside the measured window. Movers are confined to
+  // so full grid passes — the dense counting-sort rebuild included —
+  // keep running inside the measured window. Movers are confined to
   // small boxes far apart (no contacts ever form, so no Message churn),
-  // and two stationary sentinels pin the corners of the coarse-tile
-  // bounding box so the dense directory never has to grow mid-window.
+  // and two stationary sentinels pin the corners of the occupied-cell
+  // box so the dense directory never has to grow mid-window.
   WorldConfig cfg;
   cfg.step = 1.0;
   cfg.duration = 1000.0;
@@ -309,7 +309,7 @@ TEST(StepLoopScratch, HierarchicalGridRebuildsDoNotAllocateInSteadyState) {
   w->add_node(std::make_unique<StationaryModel>(Vec2{9600.0, 120.0}), 10000);
 
   w->run_until(200.0);  // warm scratch; movers have bounced off every wall
-  ASSERT_TRUE(w->contacts().grid().hierarchical());
+  ASSERT_TRUE(w->contacts().grid().dense());
   const std::size_t passes_before = w->contacts().full_pass_count();
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   w->run_until(400.0);
@@ -317,7 +317,7 @@ TEST(StepLoopScratch, HierarchicalGridRebuildsDoNotAllocateInSteadyState) {
   EXPECT_EQ(after - before, 0u);
   // The window must actually have exercised the rebuild path.
   EXPECT_GT(w->contacts().full_pass_count(), passes_before);
-  EXPECT_TRUE(w->contacts().grid().hierarchical());
+  EXPECT_TRUE(w->contacts().grid().dense());
   EXPECT_TRUE(w->contacts().current().empty());
 #endif  // DTN_NO_ALLOC_COUNTER
 }

@@ -274,8 +274,7 @@ TEST(World, ExpiredMessageDiesInFlight) {
 // shrunk but kept hostile (small buffers force drops and rejections,
 // slow transfers force link-break aborts).
 TEST(World, TransferCounterInvariantAcrossPaperPolicies) {
-  for (const std::string& policy :
-       {"fifo", "ttl-ratio", "copies-ratio", "sdsrp"}) {
+  for (const char* policy : {"fifo", "ttl-ratio", "copies-ratio", "sdsrp"}) {
     Scenario sc = Scenario::random_waypoint_paper();
     sc.policy = policy;
     sc.world.duration = 2000.0;
