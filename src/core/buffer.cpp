@@ -97,9 +97,9 @@ Message load_message(snapshot::ArchiveReader& in) {
   m.hops = static_cast<int>(in.i64());
   m.forwards = static_cast<int>(in.i64());
   m.received = in.f64();
-  const std::uint64_t n_spray = in.u64();
+  const std::size_t n_spray = in.count(snapshot::kTagged64Bytes);
   m.spray_times.reserve(n_spray);
-  for (std::uint64_t i = 0; i < n_spray; ++i) m.spray_times.push_back(in.f64());
+  for (std::size_t i = 0; i < n_spray; ++i) m.spray_times.push_back(in.f64());
   return m;
 }
 
@@ -130,9 +130,12 @@ void Buffer::load_state(snapshot::ArchiveReader& in) {
   for (Handle h : handles_) arena_->free(h);
   handles_.clear();
   std::int64_t used = 0;
-  const std::uint64_t n = in.u64();
+  // A message's fixed fields (save_message): nine 64-bit values, two node
+  // ids and the spray-time count.
+  const std::size_t n = in.count(10 * snapshot::kTagged64Bytes +
+                                 2 * snapshot::kTaggedU32Bytes);
   handles_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Message m = load_message(in);
     used += m.size;
     handles_.push_back(arena_->alloc(std::move(m)));

@@ -139,9 +139,9 @@ void Node::load_state(snapshot::ArchiveReader& in) {
   read_id_set(in, delivered_);
   read_id_set(in, known_delivered_);
   pinned_.clear();
-  const std::uint64_t n_pinned = in.u64();
+  const std::size_t n_pinned = in.count(snapshot::kTagged64Bytes);
   pinned_.reserve(n_pinned);
-  for (std::uint64_t i = 0; i < n_pinned; ++i) pinned_.push_back(in.u64());
+  for (std::size_t i = 0; i < n_pinned; ++i) pinned_.push_back(in.u64());
   set_radio_busy(in.boolean());
   if (in.version() >= 2) {
     prio_cache_.load_state(in);

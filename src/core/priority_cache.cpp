@@ -103,9 +103,9 @@ void PriorityCache::load_state(snapshot::ArchiveReader& in) {
   if (order_valid_) {
     order_at_ = in.f64();
     order_rev_ = in.u64();
-    const std::uint64_t n_order = in.u64();
+    const std::size_t n_order = in.count(snapshot::kTagged64Bytes);
     order_.reserve(n_order);
-    for (std::uint64_t i = 0; i < n_order; ++i) order_.push_back(in.u64());
+    for (std::size_t i = 0; i < n_order; ++i) order_.push_back(in.u64());
   }
   in.end_section();
 }

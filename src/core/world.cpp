@@ -917,9 +917,9 @@ void write_sample_vec(snapshot::ArchiveWriter& out,
 
 void read_sample_vec(snapshot::ArchiveReader& in, std::vector<double>& v) {
   v.clear();
-  const std::uint64_t n = in.u64();
+  const std::size_t n = in.count(snapshot::kTagged64Bytes);
   v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(in.f64());
+  for (std::size_t i = 0; i < n; ++i) v.push_back(in.f64());
 }
 
 }  // namespace
@@ -983,9 +983,8 @@ void World::save_state(snapshot::ArchiveWriter& out) const {
           out.u64(m.to_stamp);
           out.u64(m.to_rev);
         });
-    // v5: arena sizing hints — a restored run pre-sizes its slabs to the
-    // interrupted run's population instead of re-growing them. Derived
-    // state: never hashed, informational on read.
+    // v5: arena sizing hints. Derived state: never hashed, and a restore
+    // only checks them against the messages it restored (load_state).
     out.u64(arena_.high_water());
     out.u64(arena_.free_count());
   }
@@ -1004,9 +1003,11 @@ void World::load_state(snapshot::ArchiveReader& in) {
   for (auto& n : nodes_) n->load_state(in);
   tracker_.load_state(in);
   transfers_.clear();
-  const std::uint64_t n_transfers = in.u64();
+  // from, to, msg, started, eta
+  const std::size_t n_transfers = in.count(2 * snapshot::kTaggedU32Bytes +
+                                           3 * snapshot::kTagged64Bytes);
   transfers_.reserve(n_transfers);
-  for (std::uint64_t i = 0; i < n_transfers; ++i) {
+  for (std::size_t i = 0; i < n_transfers; ++i) {
     Transfer t;
     t.from = in.u32();
     t.to = in.u32();
@@ -1038,9 +1039,11 @@ void World::load_state(snapshot::ArchiveReader& in) {
   }
   idle_memo_.clear();
   if (in.version() >= 2) {
-    const std::uint64_t n_memo = in.u64();
+    // from, to, at, two stamps and two revisions
+    const std::size_t n_memo = in.count(2 * snapshot::kTaggedU32Bytes +
+                                        5 * snapshot::kTagged64Bytes);
     idle_memo_.reserve(n_memo);
-    for (std::uint64_t i = 0; i < n_memo; ++i) {
+    for (std::size_t i = 0; i < n_memo; ++i) {
       const NodeId a = in.u32();
       const NodeId b = in.u32();
       IdleMemo m;
@@ -1053,9 +1056,15 @@ void World::load_state(snapshot::ArchiveReader& in) {
     }
   }
   if (in.version() >= 5) {
+    // The saved arena's slots were its live messages, which the buffers
+    // have just restored, plus its free list; a hint that disagrees is
+    // corrupt. It sizes nothing: capped by the restored population, it
+    // would ask for no slot the restore has not allocated already.
     const std::uint64_t high_water = in.u64();
-    in.u64();  // free count: informational
-    arena_.reserve(high_water);
+    const std::uint64_t free_slots = in.u64();
+    DTN_REQUIRE(free_slots <= high_water &&
+                    high_water - free_slots == arena_.live_count(),
+                "load_state: arena hint does not match the restored messages");
   }
   in.end_section();
   rebuild_event_queues();

@@ -170,9 +170,12 @@ void FaultPlan::load_state(snapshot::ArchiveReader& in) {
     if (degraded_[i]) ++degraded_count_;
   }
   heap_.clear();
-  const std::uint64_t ne = in.u64();
+  // at, kind, node
+  const std::size_t ne =
+      in.count(snapshot::kTagged64Bytes + snapshot::kTaggedU8Bytes +
+               snapshot::kTaggedU32Bytes);
   heap_.reserve(ne);
-  for (std::uint64_t i = 0; i < ne; ++i) {
+  for (std::size_t i = 0; i < ne; ++i) {
     Event e;
     e.at = in.f64();
     const std::uint8_t kind = in.u8();

@@ -176,9 +176,9 @@ void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
 void ContactTracker::load_state(snapshot::ArchiveReader& in) {
   in.begin_section("contacts");
   current_.clear();
-  const std::uint64_t n = in.u64();
+  const std::size_t n = in.count(2 * snapshot::kTagged64Bytes);
   current_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const auto a = static_cast<std::size_t>(in.u64());
     const auto b = static_cast<std::size_t>(in.u64());
     current_.emplace_back(a, b);
@@ -190,17 +190,18 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in) {
     budget_ = in.f64();
     have_prev_ = in.boolean();
     prev_.clear();
-    const std::uint64_t np = in.u64();
+    const std::size_t np = in.count(2 * snapshot::kTagged64Bytes);
     prev_.reserve(np);
-    for (std::uint64_t i = 0; i < np; ++i) {
+    for (std::size_t i = 0; i < np; ++i) {
       const double x = in.f64();
       const double y = in.f64();
       prev_.push_back({x, y});
     }
     watch_.clear();
-    const std::uint64_t nw = in.u64();
+    const std::size_t nw = in.count(2 * snapshot::kTaggedU32Bytes +
+                                    snapshot::kTaggedU8Bytes);
     watch_.reserve(nw);
-    for (std::uint64_t i = 0; i < nw; ++i) {
+    for (std::size_t i = 0; i < nw; ++i) {
       WatchPair wp;
       wp.i = in.u32();
       wp.j = in.u32();

@@ -41,9 +41,11 @@ bool read_shard_result(const std::string& dir, std::size_t shard,
   ShardResult result;
   result.shard = static_cast<std::size_t>(r.u64());
   DTN_REQUIRE(result.shard == shard, "shard result: index mismatch");
-  const std::uint64_t count = r.u64();
-  result.partials.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  // A partial is at least its point index and its aggregate's six
+  // MergeStats of seven 64-bit fields each (save_aggregate).
+  const std::size_t count = r.count(43 * snapshot::kTagged64Bytes);
+  result.partials.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     const auto point = static_cast<std::size_t>(r.u64());
     ReplicatedMetrics agg;
     load_aggregate(r, agg);

@@ -17,9 +17,10 @@
 namespace dtn::orch {
 
 struct WorkerOptions {
-  /// Simulated seconds between run checkpoints; <= 0 disables mid-run
-  /// checkpointing (runs then restart from scratch after a crash, but
-  /// finished runs still resume via their .done markers).
+  /// Minimum simulated seconds between run checkpoints (the save cadence
+  /// is CheckpointOptions'); <= 0 disables mid-run checkpointing (runs
+  /// then restart from scratch after a crash, but finished runs still
+  /// resume via their .done markers).
   double ckpt_interval_s = 600.0;
   /// Keep per-run .ckpt/.done files after the shard result is durable.
   bool keep_run_files = false;

@@ -63,9 +63,11 @@ void DeliveredMessagesReport::save_state(snapshot::ArchiveWriter& out) const {
 void DeliveredMessagesReport::load_state(snapshot::ArchiveReader& in) {
   in.begin_section("delivered-report");
   rows_.clear();
-  const std::uint64_t n = in.u64();
+  // id, source, destination, last hop, created, delivered at, hops
+  const std::size_t n = in.count(4 * snapshot::kTagged64Bytes +
+                                 3 * snapshot::kTaggedU32Bytes);
   rows_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     Row r;
     r.id = in.u64();
     r.source = in.u32();

@@ -1,6 +1,7 @@
 #include "src/report/sweep.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <future>
@@ -8,6 +9,7 @@
 
 #include "src/report/observers.hpp"
 #include "src/snapshot/checkpoint.hpp"
+#include "src/util/error.hpp"
 
 namespace dtn {
 
@@ -148,10 +150,15 @@ void load_aggregate(snapshot::ArchiveReader& in, ReplicatedMetrics& m) {
   load_merge_stats(in, m.avg_latency);
   load_merge_stats(in, m.median_latency);
   load_merge_stats(in, m.p95_latency);
+  // Every aggregate bins latencies alike, so a stream with another layout
+  // is corrupt, and its bin count never sizes an allocation.
   const double lo = in.f64();
   const double hi = in.f64();
-  const auto bins = static_cast<std::size_t>(in.u64());
-  Histogram h(lo, hi, bins);
+  const std::uint64_t bins = in.u64();
+  DTN_REQUIRE(lo == kLatencyHistLo && hi == kLatencyHistHi &&
+                  bins == kLatencyHistBins,
+              "aggregate: latency histogram layout does not match");
+  Histogram h(lo, hi, kLatencyHistBins);
   h.add_underflow(static_cast<std::size_t>(in.u64()));
   h.add_overflow(static_cast<std::size_t>(in.u64()));
   const std::uint64_t nonzero = in.u64();
@@ -161,6 +168,12 @@ void load_aggregate(snapshot::ArchiveReader& in, ReplicatedMetrics& m) {
   }
   m.latency_hist = h;
   in.end_section();
+}
+
+bool checkpoint_due(std::optional<double> last_save_cost_s,
+                    double since_last_save_s) {
+  return !last_save_cost_s ||
+         since_last_save_s >= kCheckpointCostRatio * *last_save_cost_s;
 }
 
 MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
@@ -194,6 +207,13 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
   world->add_observer(&delivered);
 
   const double duration = sc.world.duration;
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  // The cadence's state: the last save's cost and when it ended.
+  std::optional<double> last_save_cost_s;
+  Clock::time_point last_save_end;
   // One writer for every save of this run: its buffer keeps the largest
   // save's capacity instead of being regrown from empty each time.
   snapshot::ArchiveWriter w;
@@ -210,6 +230,10 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
         std::min(duration, world->now() + ckpt.interval_s);
     world->run_until(target);
     if (world->now() + sc.world.step <= duration + 1e-9) {
+      const Clock::time_point start = Clock::now();
+      if (!checkpoint_due(last_save_cost_s, seconds(start - last_save_end))) {
+        continue;
+      }
       finish_write();
       w.clear();
       snapshot::save_world(w, sc, *world,
@@ -219,6 +243,8 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
       writing = std::async(std::launch::async, [&w, &ckpt_path] {
         snapshot::write_archive_file(ckpt_path, w);
       });
+      last_save_end = Clock::now();
+      last_save_cost_s = seconds(last_save_end - start);
       if (ckpt.on_progress) ckpt.on_progress(world->now());
     }
   }

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,28 +31,47 @@ struct MetricPoint {
   double p95_latency = 0.0;     ///< p95 creation->delivery delay (s)
 };
 
-/// Periodic checkpointing for long runs. When enabled, every run leaves a
-/// `<dir>/<name>_seed<seed>.ckpt` file every `interval_s` simulated
-/// seconds (atomically replaced), and a `.done` marker holding the final
-/// metrics on completion. A rerun with the same options resumes each
-/// replica from its checkpoint — or skips it entirely when the marker
-/// exists — and produces results identical to an uninterrupted (cold) run.
-/// Each save is hashed and written on a helper thread while the run goes
-/// on, so the file on disk may lag the newest save by one; a failed write
-/// throws from run_scenario at the next save or at the end of the run.
+/// Periodic checkpointing for long runs. When enabled, every run keeps a
+/// `<dir>/<name>_seed<seed>.ckpt` file (atomically replaced) and leaves a
+/// `.done` marker holding the final metrics on completion. A run stops at
+/// every `interval_s` boundary of simulated time but saves only where
+/// checkpoint_due says so: at the first boundary, and later at the first
+/// boundary reached once kCheckpointCostRatio times the last save's cost
+/// has passed in wall time. Which boundaries save depends on timing; the
+/// bytes of each save and the run's results do not. A rerun with the same
+/// options resumes each replica from its checkpoint — or skips it entirely
+/// when the marker exists — and produces results identical to an
+/// uninterrupted (cold) run. Each save is hashed and written on a helper
+/// thread while the run goes on, so the file on disk may lag the newest
+/// save by one; a failed write throws from run_scenario at the next save
+/// or at the end of the run.
 struct CheckpointOptions {
   std::string dir;         ///< empty = checkpointing disabled
-  double interval_s = 0.0; ///< simulated seconds between saves; <=0 disables
+  /// Minimum simulated seconds between saves; <=0 disables.
+  double interval_s = 0.0;
   bool keep_files = false; ///< keep .ckpt/.done after a completed run
-  /// Optional liveness hook, called after every periodic checkpoint save
-  /// is taken (its file may still be being written) with the current
-  /// simulated time. Orchestrator workers heartbeat from here so a lease
-  /// stays fresh through a single long run. Never called for runs skipped
-  /// via an existing .done marker.
+  /// Optional liveness hook, called after every checkpoint save taken
+  /// (its file may still be being written) with the current simulated
+  /// time. Orchestrator workers heartbeat from here so a lease stays fresh
+  /// through a single long run. Never called for runs skipped via an
+  /// existing .done marker.
   std::function<void(double sim_now)> on_progress;
 
   bool enabled() const { return !dir.empty() && interval_s > 0.0; }
 };
+
+/// K of the checkpoint cadence: after a save that cost c seconds on the
+/// simulation thread, a run saves again only once K·c of wall time has
+/// passed, so saving takes at most about 1/(K+1) of its wall time.
+inline constexpr int kCheckpointCostRatio = 20;
+
+/// Whether a checkpointed run saves at the `interval_s` boundary it has
+/// reached. `last_save_cost_s` is the run's previous save's cost on the
+/// simulation thread (empty before its first save, so the first boundary
+/// always saves) and `since_last_save_s` the wall time since that save
+/// ended.
+bool checkpoint_due(std::optional<double> last_save_cost_s,
+                    double since_last_save_s);
 
 /// File-name stem `<dir>/<label><name>_seed<seed>` of one checkpointed
 /// run (the .ckpt/.done paths append their extension). Exposed so the

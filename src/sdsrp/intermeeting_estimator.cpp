@@ -117,9 +117,15 @@ void read_map(snapshot::ArchiveReader& in,
               std::unordered_map<std::size_t, double>& m) {
   m.clear();
   const std::uint64_t n = in.u64();
+  std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto k = static_cast<std::size_t>(in.u64());
-    m[k] = in.f64();
+    const std::uint64_t k = in.u64();
+    // Peers are saved strictly ascending; a repeat would collapse into
+    // one entry while still being counted in the open-interval count.
+    DTN_REQUIRE(i == 0 || k > prev,
+                "intermeeting: peers repeated or out of order");
+    prev = k;
+    m.emplace(static_cast<std::size_t>(k), in.f64());
   }
 }
 
@@ -143,6 +149,8 @@ void IntermeetingEstimator::load_state(snapshot::ArchiveReader& in) {
   open_count_ = static_cast<std::size_t>(in.u64());
   open_since_sum_ = in.f64();
   read_map(in, last_end_);
+  DTN_REQUIRE(open_count_ == last_end_.size(),
+              "intermeeting: open-interval count does not match open peers");
   read_map(in, last_seen_);
   in.end_section();
   sync_hot();

@@ -110,6 +110,14 @@ std::string ArchiveReader::str() {
   return v;
 }
 
+std::size_t ArchiveReader::count(std::size_t min_element_bytes) {
+  DTN_REQUIRE(min_element_bytes > 0, "archive: element size must be positive");
+  const std::uint64_t n = u64();
+  DTN_REQUIRE(n <= remaining() / min_element_bytes,
+              "archive: element count past end");
+  return static_cast<std::size_t>(n);
+}
+
 void ArchiveReader::begin_section(const std::string& name) {
   expect(Tag::kSectionBegin);
   const std::uint64_t n = le64();

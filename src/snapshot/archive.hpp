@@ -177,6 +177,12 @@ class ArchiveWriter {
   int depth_ = 0;
 };
 
+/// Bytes one tagged value takes in the stream: its tag byte and payload.
+/// Readers use them to bound element counts (ArchiveReader::count).
+inline constexpr std::size_t kTaggedU8Bytes = 2;  ///< also bool
+inline constexpr std::size_t kTaggedU32Bytes = 5;
+inline constexpr std::size_t kTagged64Bytes = 9;  ///< u64, i64 and f64
+
 class ArchiveReader {
  public:
   /// `version` is the format version the bytes were written under; it
@@ -197,6 +203,11 @@ class ArchiveReader {
   double f64();
   bool boolean();
   std::string str();
+  /// Reads an element count (a u64) that is about to size an allocation,
+  /// and checks it against the bytes left: that many elements of at least
+  /// `min_element_bytes` each must fit. Throws PreconditionError if not,
+  /// so a corrupt count fails as a typed error instead of allocating.
+  std::size_t count(std::size_t min_element_bytes);
 
   /// Consumes a section begin marker and checks the recorded name.
   void begin_section(const std::string& name);

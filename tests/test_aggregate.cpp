@@ -175,6 +175,26 @@ TEST(Aggregate, SaveLoadRoundTrip) {
   EXPECT_EQ(aggregate_bytes(back), aggregate_bytes(m));
 }
 
+TEST(Aggregate, RejectsAnotherHistogramLayout) {
+  ReplicatedMetrics m;
+  snapshot::ArchiveWriter w;
+  save_aggregate(w, m);
+  // The bin count follows the section header, six MergeStats of seven
+  // values, and the histogram's lo and hi.
+  const std::size_t at = 1 + 8 + 9 + (6 * 7 + 2) * snapshot::kTagged64Bytes;
+  for (std::uint64_t bins : {std::uint64_t{kLatencyHistBins} + 1,
+                             std::uint64_t{1} << 40}) {
+    std::vector<std::uint8_t> bytes = w.bytes();
+    ASSERT_EQ(bytes.at(at), 0x03);
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + 1 + i] = static_cast<std::uint8_t>(bins >> (8 * i));
+    }
+    snapshot::ArchiveReader r(std::move(bytes));
+    ReplicatedMetrics back;
+    EXPECT_THROW(load_aggregate(r, back), PreconditionError);
+  }
+}
+
 TEST(Aggregate, EmptyRoundTrip) {
   ReplicatedMetrics empty;
   snapshot::ArchiveWriter w;

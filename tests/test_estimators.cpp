@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/sdsrp/intermeeting_estimator.hpp"
 #include "src/sdsrp/spray_tree.hpp"
+#include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 
@@ -167,6 +171,79 @@ TEST(IntermeetingEstimator, RecoverExponentialRate) {
 
 TEST(IntermeetingEstimator, RejectsBadPrior) {
   EXPECT_THROW(IntermeetingEstimator(0.0), PreconditionError);
+}
+
+// --- checkpoint loading ---
+
+using Peers = std::vector<std::pair<std::uint64_t, double>>;
+
+// A hand-built "imt-estimator" section with no samples, `open_count` open
+// intervals, and the open (last end) and last-seen peers in the given
+// order.
+std::vector<std::uint8_t> estimator_section(std::uint64_t open_count,
+                                            const Peers& last_end,
+                                            const Peers& last_seen) {
+  snapshot::ArchiveWriter w;
+  w.begin_section("imt-estimator");
+  snapshot::write_running_stats(w, RunningStats{});
+  w.f64(0.0);  // closed exposure
+  w.u64(open_count);
+  double open_since_sum = 0.0;
+  for (const auto& [peer, t] : last_end) open_since_sum += t;
+  w.f64(open_since_sum);
+  for (const Peers* peers : {&last_end, &last_seen}) {
+    w.u64(peers->size());
+    for (const auto& [peer, t] : *peers) {
+      w.u64(peer);
+      w.f64(t);
+    }
+  }
+  w.end_section();
+  return w.bytes();
+}
+
+void load(IntermeetingEstimator& e, std::uint64_t open_count,
+          const Peers& last_end, const Peers& last_seen) {
+  snapshot::ArchiveReader in(
+      estimator_section(open_count, last_end, last_seen));
+  e.load_state(in);
+}
+
+TEST(IntermeetingEstimatorState, LoadsAscendingPeers) {
+  const Peers open = {{1, 10.0}, {4, 20.0}};
+  const Peers seen = {{1, 10.0}, {4, 20.0}, {7, 5.0}};
+  IntermeetingEstimator e(1000.0, 1);
+  load(e, 2, open, seen);
+  EXPECT_EQ(e.last_contact(4), 20.0);
+  EXPECT_EQ(e.last_contact(7), 5.0);
+  snapshot::ArchiveWriter resaved;
+  e.save_state(resaved);
+  EXPECT_EQ(resaved.bytes(), estimator_section(2, open, seen));
+}
+
+TEST(IntermeetingEstimatorState, RejectsRepeatedOpenPeer) {
+  // Accepting it would keep one open interval while the censored MLE
+  // counts two.
+  IntermeetingEstimator e(1000.0, 1);
+  EXPECT_THROW(load(e, 2, {{1, 10.0}, {1, 20.0}}, {{1, 20.0}}),
+               PreconditionError);
+}
+
+TEST(IntermeetingEstimatorState, RejectsOpenPeersOutOfOrder) {
+  IntermeetingEstimator e(1000.0, 1);
+  EXPECT_THROW(load(e, 2, {{4, 10.0}, {1, 20.0}}, {{1, 20.0}, {4, 10.0}}),
+               PreconditionError);
+}
+
+TEST(IntermeetingEstimatorState, RejectsRepeatedSeenPeer) {
+  IntermeetingEstimator e(1000.0, 1);
+  EXPECT_THROW(load(e, 0, {}, {{1, 10.0}, {1, 20.0}}), PreconditionError);
+}
+
+TEST(IntermeetingEstimatorState, RejectsOpenCountThatDisagrees) {
+  IntermeetingEstimator e(1000.0, 1);
+  EXPECT_THROW(load(e, 3, {{1, 10.0}, {4, 20.0}}, {{1, 10.0}, {4, 20.0}}),
+               PreconditionError);
 }
 
 // --- spray tree ---

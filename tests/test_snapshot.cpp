@@ -7,11 +7,16 @@
 // sets) supports that guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/config/scenario.hpp"
@@ -422,6 +427,120 @@ TEST(SnapshotV3, LegacyStepModeRoundTrips) {
             restored.world->contacts().update_count());
 }
 
+// --- stream counts that would size an allocation ---
+
+TEST(Archive, CountPastTheBytesLeftThrows) {
+  snapshot::ArchiveWriter w;
+  w.u64(3);
+  for (int i = 0; i < 3; ++i) w.f64(1.0);
+  w.u64(4);
+  for (int i = 0; i < 3; ++i) w.f64(1.0);
+  snapshot::ArchiveReader r(w.bytes());
+  EXPECT_EQ(r.count(snapshot::kTagged64Bytes), 3u);
+  for (int i = 0; i < 3; ++i) r.f64();
+  EXPECT_THROW(r.count(snapshot::kTagged64Bytes), PreconditionError);
+}
+
+std::vector<std::uint8_t> little_endian(std::uint64_t v, int width) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  return out;
+}
+
+// A value as the archive writes it: its tag byte, then its bytes.
+std::vector<std::uint8_t> tagged(std::uint8_t tag, std::uint64_t v,
+                                 int width) {
+  std::vector<std::uint8_t> out = little_endian(v, width);
+  out.insert(out.begin(), tag);
+  return out;
+}
+
+// A framed file's payload sits between the 16-byte header and the 8-byte
+// FNV-1a trailer.
+constexpr std::size_t kFileHeaderBytes = 16;
+
+std::vector<std::uint8_t> payload_of(const std::string& path) {
+  const std::vector<char> file = file_bytes(path);
+  return {file.begin() + kFileHeaderBytes, file.end() - 8};
+}
+
+// Overwrites the u64 whose tag byte is at payload offset `at` and
+// re-hashes the trailer, so the file still passes every framing check.
+void patch_u64(const std::string& path, std::size_t at, std::uint64_t v) {
+  std::vector<std::uint8_t> payload = payload_of(path);
+  ASSERT_EQ(payload.at(at), 0x03) << "not a u64 tag";
+  const std::vector<std::uint8_t> value = tagged(0x03, v, 8);
+  std::copy(value.begin(), value.end(), payload.begin() + at);
+  snapshot::Fnv1a h;
+  h.update(payload.data(), payload.size());
+  const std::vector<std::uint8_t> trailer = little_endian(h.digest(), 8);
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(kFileHeaderBytes);
+  f.write(reinterpret_cast<const char*>(payload.data()),
+          static_cast<std::streamsize>(payload.size()));
+  f.write(reinterpret_cast<const char*>(trailer.data()), 8);
+}
+
+// A checkpoint of the small RWP world taken while a transfer is in flight.
+std::string checkpoint_with_transfer(const std::string& name,
+                                     std::unique_ptr<World>* world_out) {
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(1000.0);
+  while (world->transfers_in_flight().empty()) world->step();
+  const std::string path = temp_path(name);
+  snapshot::save_checkpoint(path, sc, *world);
+  *world_out = std::move(world);
+  return path;
+}
+
+TEST(CorruptCheckpoint, HugeArenaHintThrowsPreconditionError) {
+  std::unique_ptr<World> world;
+  const std::string path = checkpoint_with_transfer("huge_hint.ckpt", &world);
+  // The payload ends with the hint's high water and free count, the world
+  // section's end, the "no extra" flag and the checkpoint section's end.
+  const std::vector<std::uint8_t> payload = payload_of(path);
+  const std::size_t at = payload.size() - 4 - 2 * snapshot::kTagged64Bytes;
+  const std::vector<std::uint8_t> high_water =
+      tagged(0x03, world->arena().high_water(), 8);
+  ASSERT_TRUE(std::equal(high_water.begin(), high_water.end(),
+                         payload.begin() + static_cast<std::ptrdiff_t>(at)));
+  patch_u64(path, at, std::uint64_t{1} << 40);
+  EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError);
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCheckpoint, HugeTransferCountThrowsPreconditionError) {
+  std::unique_ptr<World> world;
+  const std::string path =
+      checkpoint_with_transfer("huge_transfers.ckpt", &world);
+  // The transfer count follows the contact tracker's section end and
+  // precedes the transfers, saved in sender order.
+  const std::vector<Transfer>& transfers = world->transfers_in_flight();
+  const Transfer& first = *std::min_element(
+      transfers.begin(), transfers.end(),
+      [](const Transfer& a, const Transfer& b) { return a.from < b.from; });
+  std::vector<std::uint8_t> pattern = {0x09};
+  for (const std::vector<std::uint8_t>& part :
+       {tagged(0x03, transfers.size(), 8), tagged(0x02, first.from, 4),
+        tagged(0x02, first.to, 4), tagged(0x03, first.msg, 8)}) {
+    pattern.insert(pattern.end(), part.begin(), part.end());
+  }
+  const std::vector<std::uint8_t> payload = payload_of(path);
+  const auto found = std::search(payload.begin(), payload.end(),
+                                 pattern.begin(), pattern.end());
+  ASSERT_NE(found, payload.end());
+  ASSERT_EQ(std::search(found + 1, payload.end(), pattern.begin(),
+                        pattern.end()),
+            payload.end());
+  patch_u64(path, static_cast<std::size_t>(found - payload.begin()) + 1,
+            std::uint64_t{1} << 40);
+  EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError);
+  std::remove(path.c_str());
+}
+
 // --- digest determinism regression ---
 
 TEST(Digest, SameSeedSameDigestTrajectory) {
@@ -500,20 +619,32 @@ TEST(CheckpointedRuns, InterruptedRunLeavesItsLastSaveOnDisk) {
   const std::string stem = run_file_stem(dir, sc, "");
 
   // Stop the run from the progress hook right after its 3rd save, while
-  // that save may still be being written.
+  // that save may still be being written. A boundary saves only once
+  // kCheckpointCostRatio times the last save's cost has passed since that
+  // save ended. The hook waits that long before it returns: the save cost
+  // less than all the time since the hook last returned (or the run
+  // began), so every boundary saves.
   struct Interrupted {};
   CheckpointOptions ckpt;
   ckpt.dir = dir;
   ckpt.interval_s = 500.0;
   int saves = 0;
   double stopped_at = 0.0;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point hook_left;
   ckpt.on_progress = [&](double now) {
-    if (++saves < 3) return;
-    stopped_at = now;
-    throw Interrupted{};
+    if (++saves == 3) {
+      stopped_at = now;
+      throw Interrupted{};
+    }
+    std::this_thread::sleep_for((Clock::now() - hook_left) *
+                                kCheckpointCostRatio);
+    hook_left = Clock::now();
   };
+  hook_left = Clock::now();
   EXPECT_THROW(run_scenario(sc, nullptr, ckpt), Interrupted);
   ASSERT_EQ(saves, 3);
+  EXPECT_EQ(stopped_at, 3 * ckpt.interval_s);
   EXPECT_FALSE(std::filesystem::exists(stem + ".ckpt.tmp"));
   EXPECT_FALSE(std::filesystem::exists(stem + ".done"));
 
@@ -542,6 +673,44 @@ TEST(CheckpointedRuns, InterruptedRunLeavesItsLastSaveOnDisk) {
   EXPECT_EQ(resumed.median_latency, cold.median_latency);
   EXPECT_EQ(resumed.p95_latency, cold.p95_latency);
   std::filesystem::remove_all(dir);
+}
+
+// --- checkpoint cadence ---
+
+TEST(CheckpointCadence, FirstBoundaryAlwaysSaves) {
+  EXPECT_TRUE(checkpoint_due(std::nullopt, 0.0));
+  EXPECT_TRUE(checkpoint_due(std::nullopt, 1e-9));
+}
+
+TEST(CheckpointCadence, SaveSuppressesBoundariesUntilKTimesItsCost) {
+  const double cost = 0.125;
+  const double repaid = kCheckpointCostRatio * cost;
+  EXPECT_FALSE(checkpoint_due(cost, 0.0));
+  EXPECT_FALSE(checkpoint_due(cost, cost));
+  EXPECT_FALSE(checkpoint_due(cost, repaid - 1e-6));
+  EXPECT_TRUE(checkpoint_due(cost, repaid));
+  EXPECT_TRUE(checkpoint_due(cost, 10.0 * repaid));
+  // A free save leaves every boundary due.
+  EXPECT_TRUE(checkpoint_due(0.0, 0.0));
+}
+
+TEST(CheckpointCadence, SavesAtTheNextBoundaryNeverBetween) {
+  // Boundaries 1 s of wall time apart; each save costs 0.125 s, so K·c is
+  // 2.5 s and is reached 2.625 s after a boundary that saved, between
+  // two boundaries. The save waits for the boundary after that.
+  const double cost = 0.125;
+  ASSERT_EQ(kCheckpointCostRatio * cost, 2.5);
+  std::optional<double> last_cost;
+  double last_end = 0.0;
+  std::vector<int> saved;
+  for (int b = 0; b < 10; ++b) {
+    const double at = b;
+    if (!checkpoint_due(last_cost, at - last_end)) continue;
+    saved.push_back(b);
+    last_cost = cost;
+    last_end = at + cost;
+  }
+  EXPECT_EQ(saved, (std::vector<int>{0, 3, 6, 9}));
 }
 
 TEST(CheckpointedRuns, FailedCheckpointWriteFailsTheRun) {

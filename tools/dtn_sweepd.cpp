@@ -30,6 +30,7 @@
 #include "src/orch/manifest.hpp"
 #include "src/orch/shard_store.hpp"
 #include "src/orch/worker.hpp"
+#include "src/report/sweep.hpp"
 #include "src/util/error.hpp"
 #include "src/util/settings.hpp"
 #include "src/util/table.hpp"
@@ -208,7 +209,11 @@ int usage() {
       << "             [--ckpt-interval-s S] [--lease-ttl-s S] [--keep-files]\n"
       << "             [--max-wall-s S] [--chaos-kill-after K]\n"
       << "  worker     --manifest F --dir D [--ckpt-interval-s S]\n"
-      << "  print      --manifest F --results F\n";
+      << "  print      --manifest F --results F\n"
+      << "--ckpt-interval-s S is the minimum simulated time between a run's\n"
+      << "checkpoints (default 600, 0 = none); a run saves again only after\n"
+      << "simulating " << dtn::kCheckpointCostRatio
+      << "x its last save's cost in wall time.\n";
   return 2;
 }
 
