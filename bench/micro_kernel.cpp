@@ -2,7 +2,9 @@
 // spatial-grid contact detection (fixed area, and constant density up to
 // 100k nodes), priority evaluation (closed form vs Taylor), buffer
 // admission, dropped-list merge, checkpoint serialization, the checkpoint
-// hash and the state digest, and a full world-step at paper scale.
+// hash and the state digest, SDSRP's per-message rating and candidate
+// selection on a paused Table II world, and a full world-step at paper
+// scale.
 //
 //   ./micro_kernel --benchmark_out=BENCH_micro_kernel.json
 #include <benchmark/benchmark.h>
@@ -230,6 +232,53 @@ void BM_WorldDigest(benchmark::State& state) {
                           static_cast<std::int64_t>(hashed.bytes_written()));
 }
 BENCHMARK(BM_WorldDigest)->Unit(benchmark::kMillisecond);
+
+/// SdsrpPolicy::priority (Eq. 10) for every resident of the paused
+/// world, with the cache off: what one memo miss costs — m̂ from the
+/// copy's spray lineage, d̂ from the drop-count index, λ from the node's
+/// estimator mirror.
+void BM_SdsrpPriority(benchmark::State& state) {
+  const dtn::World& world = *table2_sdsrp_2mb().world;
+  const auto& policy =
+      dynamic_cast<const dtn::ScalarBufferPolicy&>(world.policy());
+  std::int64_t rated = 0;
+  for (auto _ : state) {
+    for (dtn::NodeId id = 0; id < world.node_count(); ++id) {
+      const dtn::Node& node = world.node(id);
+      dtn::PolicyContext ctx = world.ctx_for(node);
+      ctx.cache_enabled = false;
+      for (const dtn::Message& m : node.buffer().messages()) {
+        benchmark::DoNotOptimize(policy.priority(m, ctx));
+        ++rated;
+      }
+    }
+  }
+  state.SetItemsProcessed(rated);
+}
+BENCHMARK(BM_SdsrpPriority)->Unit(benchmark::kMicrosecond);
+
+/// Router::next_to_send over every live contact of the paused world, in
+/// both directions, with the context try_start builds (priority cache
+/// on): candidate selection — ranking, relay copies and the receiver's
+/// admission dry runs — without the idle memo in front of it. The clock
+/// stands still, so past the first pass the memos hit, as they do within
+/// a step. Runs after the save benches: it fills the memos a save writes.
+void BM_SdsrpCandidateSelection(benchmark::State& state) {
+  const dtn::World& world = *table2_sdsrp_2mb().world;
+  const dtn::Router& router = world.router();
+  std::int64_t calls = 0;
+  for (auto _ : state) {
+    for (const dtn::NodePair& pair : world.active_contacts()) {
+      const dtn::Node& a = world.node(static_cast<dtn::NodeId>(pair.first));
+      const dtn::Node& b = world.node(static_cast<dtn::NodeId>(pair.second));
+      benchmark::DoNotOptimize(router.next_to_send(a, b, world.ctx_for(a)));
+      benchmark::DoNotOptimize(router.next_to_send(b, a, world.ctx_for(b)));
+      calls += 2;
+    }
+  }
+  state.SetItemsProcessed(calls);
+}
+BENCHMARK(BM_SdsrpCandidateSelection)->Unit(benchmark::kMicrosecond);
 
 void BM_WorldStepPaperScale(benchmark::State& state) {
   dtn::Scenario sc = dtn::Scenario::random_waypoint_paper();

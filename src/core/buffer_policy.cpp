@@ -25,7 +25,9 @@ double ScalarBufferPolicy::cached_priority(const Message& m,
 
 void ScalarBufferPolicy::order_for_sending(std::vector<const Message*>& msgs,
                                            const PolicyContext& ctx) const {
-  std::vector<std::pair<double, const Message*>> keyed;
+  std::vector<std::pair<double, const Message*>> local;
+  auto& keyed = ctx.scratch != nullptr ? ctx.scratch->keyed : local;
+  keyed.clear();
   keyed.reserve(msgs.size());
   for (const Message* m : msgs) keyed.emplace_back(cached_priority(*m, ctx), m);
   std::sort(keyed.begin(), keyed.end(),

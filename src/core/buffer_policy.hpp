@@ -7,6 +7,7 @@
 //     is dropped?
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "src/core/message.hpp"
@@ -23,7 +24,26 @@ class ArchiveWriter;
 class ArchiveReader;
 }  // namespace snapshot
 
-/// Read-only context handed to policies and routers.
+/// Reusable lists for candidate selection, so that once they have grown
+/// to their working size, rating and ranking candidates allocates
+/// nothing. `World` owns one and hands it out through
+/// PolicyContext::scratch; a context without one (a standalone node)
+/// makes each user fall back to a local list. Each list has one user,
+/// and no user calls another user of the same list:
+///   spray, ranked — Router::next_to_send's candidate lists;
+///   relay         — routing::first_admittable's hypothetical copy;
+///   keyed         — ScalarBufferPolicy::order_for_sending's sort keys;
+///   droppable     — Node::plan_admission's eviction candidates.
+struct SchedulingScratch {
+  std::vector<const Message*> spray;
+  std::vector<const Message*> ranked;
+  Message relay;
+  std::vector<std::pair<double, const Message*>> keyed;
+  std::vector<const Message*> droppable;
+};
+
+/// Context handed to policies and routers: read-only inputs, plus the
+/// scratch lists candidate selection reuses.
 struct PolicyContext {
   SimTime now = 0.0;
   std::size_t n_nodes = 0;                 ///< N, network size
@@ -41,6 +61,8 @@ struct PolicyContext {
   /// — bit-identical to the estimator member function — instead of
   /// chasing the per-node estimator object. Null for standalone nodes.
   const NodeHotState* hot = nullptr;
+  /// The owning World's scheduling scratch; null for standalone nodes.
+  SchedulingScratch* scratch = nullptr;
 
   /// Same context viewed from another node's buffer.
   PolicyContext viewed_from(const Node& other) const {

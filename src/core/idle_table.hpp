@@ -1,13 +1,10 @@
-// IdleTable: flat open-addressing map of directional contact pairs to
-// cached "nothing to send" verdicts (see World::try_start).
+// IdleTable: directional contact pairs to cached "nothing to send"
+// verdicts (see World::try_start).
 //
-// The memo is consulted up to twice per active contact per step; the
-// former std::map cost one pointer-chasing tree walk (plus a node
-// allocation per insert) per lookup, which dominates the start_transfers
-// phase at large N. This table is a power-of-two open-addressing array
-// with tombstone deletion: lookups are one hash and a short linear probe,
-// inserts allocate only on growth (amortized, and bounded by the number
-// of distinct directional pairs ever idle at once).
+// The memo is consulted up to twice per active contact per step, so it
+// lives in a FlatTable (src/util/flat_table.hpp) keyed by the packed
+// (from, to) pair: one hash and a short probe per lookup, and no
+// allocation except when the table grows.
 //
 // Serialization iterates in ascending (from, to) key order, reproducing
 // the std::map byte stream exactly — the archive format is unchanged.
@@ -15,9 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/core/types.hpp"
+#include "src/util/flat_table.hpp"
 
 namespace dtn {
 
@@ -37,134 +36,45 @@ struct IdleMemo {
 
 class IdleTable {
  public:
-  IdleTable() = default;
-
-  std::size_t size() const { return live_; }
-  bool empty() const { return live_ == 0; }
-
-  void clear() {
-    std::fill(keys_.begin(), keys_.end(), kEmpty);
-    live_ = 0;
-    used_ = 0;
-  }
-
-  /// Pre-sizes for n entries without rehash churn on the way there.
-  void reserve(std::size_t n) {
-    std::size_t cap = kMinCapacity;
-    while (cap * 7 < n * 10) cap <<= 1;  // keep load factor under 0.7
-    if (cap > keys_.size()) rehash(cap);
-  }
+  std::size_t size() const { return table_.size(); }
+  void clear() { table_.clear(); }
+  void reserve(std::size_t n) { table_.reserve(n); }
 
   const IdleMemo* find(NodeId from, NodeId to) const {
-    if (keys_.empty()) return nullptr;
-    const std::uint64_t key = pack(from, to);
-    const std::size_t mask = keys_.size() - 1;
-    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
-      if (keys_[i] == key) return &memos_[i];
-      if (keys_[i] == kEmpty) return nullptr;
-    }
+    return table_.find(pack(from, to));
   }
-
   void insert_or_assign(NodeId from, NodeId to, const IdleMemo& m) {
-    if (keys_.empty() || (used_ + 1) * 10 > keys_.size() * 7) {
-      rehash(std::max<std::size_t>(kMinCapacity, keys_.size() * 2));
-    }
-    const std::uint64_t key = pack(from, to);
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t slot = SIZE_MAX;  // first tombstone on the probe path
-    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
-      if (keys_[i] == key) {
-        memos_[i] = m;
-        return;
-      }
-      if (keys_[i] == kTombstone) {
-        if (slot == SIZE_MAX) slot = i;
-        continue;
-      }
-      if (keys_[i] == kEmpty) {
-        if (slot == SIZE_MAX) {
-          slot = i;
-          ++used_;  // a tombstone reuse does not extend any probe chain
-        }
-        keys_[slot] = key;
-        memos_[slot] = m;
-        ++live_;
-        return;
-      }
-    }
+    table_[pack(from, to)] = m;
   }
-
-  void erase(NodeId from, NodeId to) {
-    if (keys_.empty()) return;
-    const std::uint64_t key = pack(from, to);
-    const std::size_t mask = keys_.size() - 1;
-    for (std::size_t i = mix(key) & mask;; i = (i + 1) & mask) {
-      if (keys_[i] == key) {
-        keys_[i] = kTombstone;
-        --live_;
-        return;
-      }
-      if (keys_[i] == kEmpty) return;
-    }
-  }
+  void erase(NodeId from, NodeId to) { table_.erase(pack(from, to)); }
 
   /// Visits every entry in ascending packed-key — i.e. lexicographic
   /// (from, to) — order. Serialization-only; O(n log n).
   template <typename Fn>
   void for_each_sorted(Fn&& fn) const {
     sort_scratch_.clear();
-    sort_scratch_.reserve(live_);
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] < kTombstone) sort_scratch_.push_back(i);
-    }
+    table_.for_each([this](std::uint64_t key, const IdleMemo& m) {
+      sort_scratch_.emplace_back(key, &m);
+    });
     std::sort(sort_scratch_.begin(), sort_scratch_.end(),
-              [this](std::size_t a, std::size_t b) {
-                return keys_[a] < keys_[b];
-              });
-    for (std::size_t i : sort_scratch_) {
-      fn(static_cast<NodeId>(keys_[i] >> 32),
-         static_cast<NodeId>(keys_[i] & 0xFFFFFFFFu), memos_[i]);
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [key, m] : sort_scratch_) {
+      fn(static_cast<NodeId>(key >> 32),
+         static_cast<NodeId>(key & 0xFFFFFFFFu), *m);
     }
   }
 
  private:
-  // Valid keys pack two NodeIds below kNoNode, so the two top sentinel
-  // values can never collide with real pairs.
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  static constexpr std::uint64_t kTombstone = ~std::uint64_t{0} - 1;
-  static constexpr std::size_t kMinCapacity = 64;
-
+  // Both NodeIds are below kNoNode, so a packed pair never reaches the
+  // table's reserved marker keys.
   static std::uint64_t pack(NodeId from, NodeId to) {
     return (static_cast<std::uint64_t>(from) << 32) |
            static_cast<std::uint64_t>(to);
   }
-  static std::uint64_t mix(std::uint64_t x) {  // splitmix64 finalizer
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
 
-  void rehash(std::size_t cap) {
-    std::vector<std::uint64_t> old_keys = std::move(keys_);
-    std::vector<IdleMemo> old_memos = std::move(memos_);
-    keys_.assign(cap, kEmpty);
-    memos_.assign(cap, IdleMemo{});
-    live_ = 0;
-    used_ = 0;
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] >= kTombstone) continue;
-      insert_or_assign(static_cast<NodeId>(old_keys[i] >> 32),
-                       static_cast<NodeId>(old_keys[i] & 0xFFFFFFFFu),
-                       old_memos[i]);
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<IdleMemo> memos_;
-  std::size_t live_ = 0;
-  std::size_t used_ = 0;  ///< occupied probe anchors (live + tombstones)
-  mutable std::vector<std::size_t> sort_scratch_;
+  FlatTable<IdleMemo> table_;
+  mutable std::vector<std::pair<std::uint64_t, const IdleMemo*>>
+      sort_scratch_;
 };
 
 }  // namespace dtn

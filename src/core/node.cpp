@@ -51,7 +51,10 @@ bool Node::plan_admission(const Message& incoming, const PolicyContext& ctx,
   const Message* newcomer = newcomer_view != nullptr ? newcomer_view
                                                      : &incoming;
   // Work on pointers so the policy sees real Message objects.
-  std::vector<const Message*> droppable;
+  std::vector<const Message*> local;
+  std::vector<const Message*>& droppable =
+      ctx.scratch != nullptr ? ctx.scratch->droppable : local;
+  droppable.clear();
   droppable.reserve(buffer_.count());
   for (const Message& m : buffer_.messages()) {
     if (!is_pinned(m.id)) droppable.push_back(&m);

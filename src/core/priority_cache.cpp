@@ -3,8 +3,21 @@
 #include <algorithm>
 
 #include "src/snapshot/archive.hpp"
+#include "src/util/error.hpp"
 
 namespace dtn {
+
+namespace {
+
+/// First entry of an id-sorted entry list whose id is not below `id`.
+template <class Entries>
+auto find_entry(Entries& entries, MessageId id) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const auto& e, MessageId key) { return e.id < key; });
+}
+
+}  // namespace
 
 void PriorityCache::bump_epoch() {
   ++epoch_;
@@ -15,7 +28,8 @@ void PriorityCache::bump_epoch() {
 
 void PriorityCache::invalidate(MessageId id) {
   ++stamp_;
-  entries_.erase(id);
+  const auto it = find_entry(entries_, id);
+  if (it != entries_.end() && it->id == id) entries_.erase(it);
   order_valid_ = false;
 }
 
@@ -27,15 +41,21 @@ void PriorityCache::clear_transient() {
 
 bool PriorityCache::lookup(MessageId id, SimTime now, double refresh_s,
                            double* out) const {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return false;
-  if (now - it->second.computed_at > refresh_s) return false;
-  *out = it->second.priority;
+  const auto it = find_entry(entries_, id);
+  if (it == entries_.end() || it->id != id) return false;
+  if (now - it->computed_at > refresh_s) return false;
+  *out = it->priority;
   return true;
 }
 
 void PriorityCache::store(MessageId id, SimTime now, double priority) {
-  entries_[id] = Entry{priority, now};
+  const auto it = find_entry(entries_, id);
+  if (it != entries_.end() && it->id == id) {
+    it->priority = priority;
+    it->computed_at = now;
+  } else {
+    entries_.insert(it, Entry{id, priority, now});
+  }
 }
 
 const std::vector<MessageId>* PriorityCache::send_order(
@@ -46,12 +66,13 @@ const std::vector<MessageId>* PriorityCache::send_order(
   return &order_;
 }
 
-void PriorityCache::store_send_order(std::vector<MessageId> ids, SimTime now,
-                                     std::uint64_t buffer_revision) {
-  order_ = std::move(ids);
+std::vector<MessageId>& PriorityCache::rewrite_send_order(
+    SimTime now, std::uint64_t buffer_revision) {
+  order_.clear();
   order_at_ = now;
   order_rev_ = buffer_revision;
   order_valid_ = true;
+  return order_;
 }
 
 void PriorityCache::save_state(snapshot::ArchiveWriter& out) const {
@@ -64,14 +85,9 @@ void PriorityCache::save_state(snapshot::ArchiveWriter& out) const {
   // continues bit-identically to an uninterrupted one even when the
   // refresh quantum would have let stale-but-valid values survive.
   if (!out.digest_only()) {
-    std::vector<MessageId> ids;
-    ids.reserve(entries_.size());
-    for (const auto& [id, e] : entries_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    out.u64(ids.size());
-    for (MessageId id : ids) {
-      const Entry& e = entries_.at(id);
-      out.u64(id);
+    out.u64(entries_.size());
+    for (const Entry& e : entries_) {  // already in ascending id order
+      out.u64(e.id);
       out.f64(e.priority);
       out.f64(e.computed_at);
     }
@@ -91,13 +107,16 @@ void PriorityCache::load_state(snapshot::ArchiveReader& in) {
   epoch_ = in.u64();
   stamp_ = in.u64();
   clear_transient();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const MessageId id = in.u64();
+  const std::size_t n = in.count(3 * snapshot::kTagged64Bytes);
+  entries_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     Entry e;
+    e.id = in.u64();
+    DTN_REQUIRE(entries_.empty() || e.id > entries_.back().id,
+                "prio-cache: memo ids repeated or out of order");
     e.priority = in.f64();
     e.computed_at = in.f64();
-    entries_.emplace(id, e);
+    entries_.push_back(e);
   }
   order_valid_ = in.boolean();
   if (order_valid_) {

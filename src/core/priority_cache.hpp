@@ -29,6 +29,11 @@
 // list — keyed additionally by the buffer revision so membership churn
 // invalidates it.
 //
+// Both memos are flat and reuse their storage: the entries are one
+// vector sorted by message id (lookups are binary searches, and an epoch
+// bump keeps the capacity), and a new send order is written over the
+// old one in place.
+//
 // Cached values are a pure function of serialized state, so digests
 // (`ArchiveWriter::Mode::kDigestOnly`) hash only the epoch; checkpoint
 // bytes additionally carry the entries so a restored run replays
@@ -36,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/types.hpp"
@@ -80,27 +84,33 @@ class PriorityCache {
   /// The memoized send order, or nullptr when it is missing/stale.
   const std::vector<MessageId>* send_order(SimTime now, double refresh_s,
                                            std::uint64_t buffer_revision) const;
-  void store_send_order(std::vector<MessageId> ids, SimTime now,
-                        std::uint64_t buffer_revision);
+  /// Starts a new send order computed at `now` against `buffer_revision`
+  /// and returns its id list, emptied, for the caller to fill in rank
+  /// order. The list keeps its capacity from one order to the next.
+  std::vector<MessageId>& rewrite_send_order(SimTime now,
+                                             std::uint64_t buffer_revision);
 
   std::size_t entry_count() const { return entries_.size(); }
 
   /// Snapshot/restore. The epoch is always written (it is semantic
-  /// state); the entries are written only to buffered archives — a
-  /// digest-only pass skips them so cached and uncached runs of the same
-  /// trajectory hash identically.
+  /// state); the entries are written only to buffered archives, in
+  /// ascending id order — a digest-only pass skips them so cached and
+  /// uncached runs of the same trajectory hash identically. load_state
+  /// rejects entry ids that are not strictly ascending: a repeated id
+  /// would restore a memo that saves back to different bytes.
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in);
 
  private:
   struct Entry {
+    MessageId id = 0;
     double priority = 0.0;
     SimTime computed_at = 0.0;
   };
 
   std::uint64_t epoch_ = 0;
   std::uint64_t stamp_ = 0;
-  std::unordered_map<MessageId, Entry> entries_;
+  std::vector<Entry> entries_;  ///< strictly ascending by id
 
   std::vector<MessageId> order_;
   SimTime order_at_ = 0.0;

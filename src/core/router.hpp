@@ -39,10 +39,19 @@ class Router {
   /// (single-copy forwarding semantics).
   virtual bool on_sent(Message& copy, bool delivered, SimTime now) const = 0;
 
-  /// Builds the receiver's copy for a (non-delivery) relay of
-  /// `sender_copy`, before on_sent has mutated the sender.
-  virtual Message make_relay_copy(const Message& sender_copy,
-                                  SimTime now) const = 0;
+  /// Writes the receiver's copy for a (non-delivery) relay of
+  /// `sender_copy`, before on_sent has mutated the sender, over `relay`.
+  /// Overwriting reuses `relay`'s spray-lineage storage, so candidate
+  /// selection can rate many hypothetical copies through one Message.
+  virtual void write_relay_copy(const Message& sender_copy, SimTime now,
+                                Message& relay) const = 0;
+
+  /// The receiver's copy as a new Message (see write_relay_copy).
+  Message make_relay_copy(const Message& sender_copy, SimTime now) const {
+    Message relay;
+    write_relay_copy(sender_copy, now, relay);
+    return relay;
+  }
 
   /// When true, receiver-side admission (Algorithm 1) rates the arriving
   /// message by its pre-transfer state — the sender's copy — rather than

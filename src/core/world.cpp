@@ -163,6 +163,7 @@ PolicyContext World::ctx_for(const Node& n) const {
   ctx.cache_enabled = cfg_.priority_cache;
   ctx.priority_refresh_s = cfg_.priority_refresh_s;
   ctx.hot = &hot_;
+  ctx.scratch = &scheduling_scratch_;
   return ctx;
 }
 

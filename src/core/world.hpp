@@ -313,6 +313,9 @@ class World {
   std::vector<Transfer> legacy_due_;       ///< legacy completion scan
   std::vector<NodeId> fault_senders_;      ///< apply_fault_events: sorted view
   std::vector<MessageId> doomed_scratch_;  ///< purge_acked / purge_on_reboot
+  /// Candidate selection's lists, lent to routers, policies and nodes
+  /// through every ctx_for context (buffer_policy.hpp).
+  mutable SchedulingScratch scheduling_scratch_;
   PhaseProfile profile_;
 
   /// Keyed by the *directional* (from, to) pair, unlike the sorted

@@ -34,9 +34,9 @@ class GatedRouter final : public Router {
   bool on_sent(Message& copy, bool delivered, SimTime now) const override {
     return inner_->on_sent(copy, delivered, now);
   }
-  Message make_relay_copy(const Message& sender_copy,
-                          SimTime now) const override {
-    return inner_->make_relay_copy(sender_copy, now);
+  void write_relay_copy(const Message& sender_copy, SimTime now,
+                        Message& relay) const override {
+    inner_->write_relay_copy(sender_copy, now, relay);
   }
   bool rate_newcomer_as_sender_copy() const override {
     return inner_->rate_newcomer_as_sender_copy();

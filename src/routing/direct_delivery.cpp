@@ -20,10 +20,10 @@ bool DirectDeliveryRouter::on_sent(Message& copy, bool delivered,
   return false;  // the job is done; free the buffer slot
 }
 
-Message DirectDeliveryRouter::make_relay_copy(const Message& /*sender*/,
-                                              SimTime /*now*/) const {
+void DirectDeliveryRouter::write_relay_copy(const Message& /*sender*/,
+                                            SimTime /*now*/,
+                                            Message& /*relay*/) const {
   DTN_REQUIRE(false, "direct delivery never relays");
-  return {};
 }
 
 }  // namespace dtn

@@ -18,9 +18,7 @@ std::optional<MessageId> EpidemicRouter::next_to_send(
     candidates.push_back(&m);
   }
   self.policy().order_for_sending(candidates, ctx);
-  return routing::first_admittable(
-      candidates, peer, ctx,
-      [this, &ctx](const Message& m) { return make_relay_copy(m, ctx.now); });
+  return routing::first_admittable(candidates, peer, ctx, *this);
 }
 
 bool EpidemicRouter::on_sent(Message& copy, bool /*delivered*/,
@@ -29,13 +27,12 @@ bool EpidemicRouter::on_sent(Message& copy, bool /*delivered*/,
   return true;  // flooding: the sender always keeps its copy
 }
 
-Message EpidemicRouter::make_relay_copy(const Message& sender_copy,
-                                        SimTime now) const {
-  Message relay = sender_copy;
+void EpidemicRouter::write_relay_copy(const Message& sender_copy,
+                                      SimTime now, Message& relay) const {
+  relay = sender_copy;
   relay.hops = sender_copy.hops + 1;
   relay.forwards = 0;
   relay.received = now;
-  return relay;
 }
 
 }  // namespace dtn

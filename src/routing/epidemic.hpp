@@ -17,8 +17,8 @@ class EpidemicRouter final : public Router {
 
   bool on_sent(Message& copy, bool delivered, SimTime now) const override;
 
-  Message make_relay_copy(const Message& sender_copy,
-                          SimTime now) const override;
+  void write_relay_copy(const Message& sender_copy, SimTime now,
+                        Message& relay) const override;
 };
 
 }  // namespace dtn

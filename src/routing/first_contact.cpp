@@ -17,9 +17,7 @@ std::optional<MessageId> FirstContactRouter::next_to_send(
     candidates.push_back(&m);
   }
   self.policy().order_for_sending(candidates, ctx);
-  return routing::first_admittable(
-      candidates, peer, ctx,
-      [this, &ctx](const Message& m) { return make_relay_copy(m, ctx.now); });
+  return routing::first_admittable(candidates, peer, ctx, *this);
 }
 
 bool FirstContactRouter::on_sent(Message& copy, bool /*delivered*/,
@@ -28,13 +26,12 @@ bool FirstContactRouter::on_sent(Message& copy, bool /*delivered*/,
   return false;  // custody transferred (or delivered): release the copy
 }
 
-Message FirstContactRouter::make_relay_copy(const Message& sender_copy,
-                                            SimTime now) const {
-  Message relay = sender_copy;
+void FirstContactRouter::write_relay_copy(const Message& sender_copy,
+                                          SimTime now, Message& relay) const {
+  relay = sender_copy;
   relay.hops = sender_copy.hops + 1;
   relay.forwards = 0;
   relay.received = now;
-  return relay;
 }
 
 }  // namespace dtn

@@ -100,9 +100,7 @@ std::optional<MessageId> ProphetRouter::next_to_send(
     candidates.push_back(&m);
   }
   self.policy().order_for_sending(candidates, ctx);
-  return routing::first_admittable(
-      candidates, peer, ctx,
-      [this, &ctx](const Message& m) { return make_relay_copy(m, ctx.now); });
+  return routing::first_admittable(candidates, peer, ctx, *this);
 }
 
 bool ProphetRouter::on_sent(Message& copy, bool /*delivered*/,
@@ -111,13 +109,12 @@ bool ProphetRouter::on_sent(Message& copy, bool /*delivered*/,
   return true;  // PRoPHET replicates; the sender keeps its copy
 }
 
-Message ProphetRouter::make_relay_copy(const Message& sender_copy,
-                                       SimTime now) const {
-  Message relay = sender_copy;
+void ProphetRouter::write_relay_copy(const Message& sender_copy,
+                                     SimTime now, Message& relay) const {
+  relay = sender_copy;
   relay.hops = sender_copy.hops + 1;
   relay.forwards = 0;
   relay.received = now;
-  return relay;
 }
 
 void ProphetRouter::save_state(snapshot::ArchiveWriter& out) const {

@@ -66,8 +66,8 @@ class ProphetRouter final : public Router {
 
   bool on_sent(Message& copy, bool delivered, SimTime now) const override;
 
-  Message make_relay_copy(const Message& sender_copy,
-                          SimTime now) const override;
+  void write_relay_copy(const Message& sender_copy, SimTime now,
+                        Message& relay) const override;
 
   /// Current (aged) predictability of node `owner` for `dest`.
   double predictability(NodeId owner, NodeId dest, SimTime now) const;

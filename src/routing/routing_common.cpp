@@ -32,4 +32,19 @@ bool peer_can_receive(const Node& peer, const Message& m) {
   return true;
 }
 
+std::optional<MessageId> first_admittable(
+    const std::vector<const Message*>& candidates, const Node& peer,
+    const PolicyContext& ctx, const Router& router, bool sender_view) {
+  const PolicyContext peer_ctx = ctx.viewed_from(peer);
+  Message local;
+  Message& relay = ctx.scratch != nullptr ? ctx.scratch->relay : local;
+  for (const Message* m : candidates) {
+    router.write_relay_copy(*m, ctx.now, relay);
+    if (peer.would_admit(relay, peer_ctx, sender_view ? m : nullptr)) {
+      return m->id;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace dtn::routing

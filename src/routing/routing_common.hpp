@@ -23,22 +23,13 @@ std::vector<const Message*> deliverable_messages(const Node& self,
 /// dropped list) has not previously dropped it.
 bool peer_can_receive(const Node& peer, const Message& m);
 
-/// Walks `candidates` in order and returns the first whose relay copy the
-/// peer would admit. `make_copy` mints the hypothetical receiver copy;
-/// `sender_view` rates the newcomer by the sender-side copy instead
+/// Walks `candidates` in order and returns the first whose relay copy
+/// (`router.write_relay_copy`) the peer would admit. Every candidate is
+/// rated through the same Message, the context's scratch one when it has
+/// it. `sender_view` rates the newcomer by the sender-side copy instead
 /// (Router::rate_newcomer_as_sender_copy).
-template <typename MakeCopy>
 std::optional<MessageId> first_admittable(
     const std::vector<const Message*>& candidates, const Node& peer,
-    const PolicyContext& ctx, MakeCopy&& make_copy,
-    bool sender_view = false) {
-  const PolicyContext peer_ctx = ctx.viewed_from(peer);
-  for (const Message* m : candidates) {
-    if (peer.would_admit(make_copy(*m), peer_ctx, sender_view ? m : nullptr)) {
-      return m->id;
-    }
-  }
-  return std::nullopt;
-}
+    const PolicyContext& ctx, const Router& router, bool sender_view = false);
 
 }  // namespace dtn::routing

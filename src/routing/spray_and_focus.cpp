@@ -31,9 +31,7 @@ std::optional<MessageId> SprayAndFocusRouter::next_to_send(
     if (theirs > mine + cfg_.focus_threshold) candidates.push_back(&m);
   }
   self.policy().order_for_sending(candidates, ctx);
-  return routing::first_admittable(
-      candidates, peer, ctx,
-      [this, &ctx](const Message& m) { return make_relay_copy(m, ctx.now); });
+  return routing::first_admittable(candidates, peer, ctx, *this);
 }
 
 bool SprayAndFocusRouter::on_sent(Message& copy, bool delivered,
@@ -48,9 +46,9 @@ bool SprayAndFocusRouter::on_sent(Message& copy, bool delivered,
   return false;  // focus: custody moved to the better relay
 }
 
-Message SprayAndFocusRouter::make_relay_copy(const Message& sender_copy,
-                                             SimTime now) const {
-  Message relay = sender_copy;
+void SprayAndFocusRouter::write_relay_copy(const Message& sender_copy,
+                                           SimTime now, Message& relay) const {
+  relay = sender_copy;
   relay.hops = sender_copy.hops + 1;
   relay.forwards = 0;
   relay.received = now;
@@ -60,7 +58,6 @@ Message SprayAndFocusRouter::make_relay_copy(const Message& sender_copy,
   } else {
     relay.copies = 1;
   }
-  return relay;
 }
 
 }  // namespace dtn

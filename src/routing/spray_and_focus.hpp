@@ -29,8 +29,8 @@ class SprayAndFocusRouter final : public Router {
 
   bool on_sent(Message& copy, bool delivered, SimTime now) const override;
 
-  Message make_relay_copy(const Message& sender_copy,
-                          SimTime now) const override;
+  void write_relay_copy(const Message& sender_copy, SimTime now,
+                        Message& relay) const override;
 
  private:
   SprayAndFocusConfig cfg_;

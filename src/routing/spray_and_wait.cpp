@@ -26,13 +26,15 @@ std::optional<MessageId> SprayAndWaitRouter::next_to_send(
   // dies with the buffer revision, any priority invalidation, or the
   // refresh quantum (priority_cache.hpp).
   const bool memoize = ctx.cache_enabled && self.policy().cache_safe();
-  std::vector<const Message*> spray;
+  std::vector<const Message*> local_spray;
+  std::vector<const Message*>& spray =
+      ctx.scratch != nullptr ? ctx.scratch->spray : local_spray;
+  spray.clear();
   const std::vector<MessageId>* order =
       memoize ? self.priority_cache().send_order(
                     ctx.now, ctx.priority_refresh_s, self.buffer().revision())
               : nullptr;
   if (order != nullptr) {
-    spray.reserve(order->size());
     for (MessageId id : *order) {
       const Message* m = self.buffer().find(id);
       DTN_REQUIRE(m != nullptr, "send-order snapshot out of sync");
@@ -43,7 +45,10 @@ std::optional<MessageId> SprayAndWaitRouter::next_to_send(
     // total ordering this commutes with the filter-then-rank order below.
     // The expiry/copies gates stream the arena's hot columns; the full
     // Message is only resolved for survivors (source check + ranking).
-    std::vector<const Message*> ranked;
+    std::vector<const Message*> local_ranked;
+    std::vector<const Message*>& ranked =
+        ctx.scratch != nullptr ? ctx.scratch->ranked : local_ranked;
+    ranked.clear();
     const Buffer& buf = self.buffer();
     const MessageArena& arena = buf.arena();
     for (Buffer::Handle h : buf.handles()) {
@@ -54,13 +59,11 @@ std::optional<MessageId> SprayAndWaitRouter::next_to_send(
       ranked.push_back(&m);
     }
     self.policy().order_for_sending(ranked, ctx);
-    std::vector<MessageId> ids;
-    ids.reserve(ranked.size());
-    for (const Message* m : ranked) ids.push_back(m->id);
-    self.priority_cache().store_send_order(std::move(ids), ctx.now,
-                                           self.buffer().revision());
-    spray.reserve(ranked.size());
+    std::vector<MessageId>& order_ids =
+        self.priority_cache().rewrite_send_order(ctx.now,
+                                                 self.buffer().revision());
     for (const Message* m : ranked) {
+      order_ids.push_back(m->id);
       if (routing::peer_can_receive(peer, *m)) spray.push_back(m);
     }
   } else {
@@ -82,10 +85,8 @@ std::optional<MessageId> SprayAndWaitRouter::next_to_send(
     return spray.empty() ? std::nullopt
                          : std::make_optional(spray.front()->id);
   }
-  return routing::first_admittable(
-      spray, peer, ctx,
-      [this, &ctx](const Message& m) { return make_relay_copy(m, ctx.now); },
-      cfg_.presplit_admission_view);
+  return routing::first_admittable(spray, peer, ctx, *this,
+                                   cfg_.presplit_admission_view);
 }
 
 bool SprayAndWaitRouter::on_sent(Message& copy, bool delivered,
@@ -102,16 +103,15 @@ bool SprayAndWaitRouter::on_sent(Message& copy, bool delivered,
   return true;
 }
 
-Message SprayAndWaitRouter::make_relay_copy(const Message& sender_copy,
-                                            SimTime now) const {
+void SprayAndWaitRouter::write_relay_copy(const Message& sender_copy,
+                                          SimTime now, Message& relay) const {
   DTN_REQUIRE(sender_copy.copies >= 2, "relay copy from wait phase");
-  Message relay = sender_copy;
+  relay = sender_copy;
   relay.copies = cfg_.binary ? sender_copy.copies / 2 : 1;  // floor half
   relay.hops = sender_copy.hops + 1;
   relay.forwards = 0;
   relay.received = now;
   if (cfg_.binary) relay.spray_times.push_back(now);
-  return relay;
 }
 
 }  // namespace dtn

@@ -45,8 +45,8 @@ class SprayAndWaitRouter final : public Router {
 
   bool on_sent(Message& copy, bool delivered, SimTime now) const override;
 
-  Message make_relay_copy(const Message& sender_copy,
-                          SimTime now) const override;
+  void write_relay_copy(const Message& sender_copy, SimTime now,
+                        Message& relay) const override;
 
   bool rate_newcomer_as_sender_copy() const override {
     return cfg_.presplit_admission_view;

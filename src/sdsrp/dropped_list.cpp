@@ -36,8 +36,7 @@ void DroppedList::index_replace(const DropRecord& old_rec,
   const auto n_end = new_rec.dropped.end();
   while (o != o_end || n != n_end) {
     if (n == n_end || (o != o_end && *o < *n)) {
-      const auto it = counts_.find(*o++);
-      if (it != counts_.end() && --it->second <= 0) counts_.erase(it);
+      if (int* count = counts_.find(*o++)) --*count;
     } else if (o == o_end || *n < *o) {
       ++counts_[*n++];
     } else {
@@ -114,8 +113,8 @@ bool DroppedList::merge_from(const DroppedList& other) {
 }
 
 double DroppedList::count_drops(std::uint64_t msg) const {
-  const auto it = counts_.find(msg);
-  return it != counts_.end() ? static_cast<double>(it->second) : 0.0;
+  const int* count = counts_.find(msg);
+  return count != nullptr ? static_cast<double>(*count) : 0.0;
 }
 
 void DroppedList::forget_message(std::uint64_t msg) {

@@ -13,8 +13,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
+
+#include "src/util/flat_table.hpp"
 
 namespace dtn::snapshot {
 class ArchiveWriter;
@@ -82,10 +83,13 @@ class DroppedList {
   std::size_t owner_;
   std::vector<Known> records_;  ///< strictly ascending by owner
   /// Aggregated index: message id -> number of records containing it.
-  /// Kept in sync by record/merge/forget so count_drops is O(1) — it is
-  /// evaluated once per priority computation, which is the simulator's
-  /// hottest path under SDSRP.
-  std::unordered_map<std::uint64_t, int> counts_;
+  /// Kept in sync by record/merge/forget so count_drops is one probe of a
+  /// flat table — it is evaluated once per priority computation, the
+  /// simulator's hottest path under SDSRP, and a gossip merge updates it
+  /// once per id that differs between two records. An id whose count
+  /// falls to 0 stays as a key (count_drops reads 0 either way), so a
+  /// decrement leaves no tombstone behind.
+  FlatTable<int> counts_;
 };
 
 }  // namespace dtn::sdsrp

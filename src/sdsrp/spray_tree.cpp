@@ -18,13 +18,17 @@ double estimate_m_seen(const SprayTreeInputs& in) {
       in.anchor_at_last_spray ? in.spray_times.back() : in.now;
   double m = 1.0;  // the "+1" of Eq. 15: the most recent branch counterpart
   // Eq. 15 sums k = 1 .. n-1 over the older branches.
+  // Both powers of two below are exact, so std::ldexp gives the same
+  // bits as dividing or multiplying by std::pow(2, ·), without the call.
   for (std::size_t k = 1; k < n; ++k) {
     const double age = t_n - in.spray_times[k - 1];
-    const double doublings = std::floor(std::max(age, 0.0) / in.mean_min_imt);
+    const double ratio = std::max(age, 0.0) / in.mean_min_imt;
+    // ⌊ratio⌋ doublings, capped at 60 (truncation is floor for ratio >= 0).
+    const int doublings = ratio < 60.0 ? static_cast<int>(ratio) : 60;
     // Subtree budget: the branch at split k received C/2^k copies.
     const double budget =
-        std::max(1.0, in.initial_copies / std::pow(2.0, static_cast<double>(k)));
-    const double grown = std::pow(2.0, std::min(doublings, 60.0));
+        std::max(1.0, std::ldexp(in.initial_copies, -static_cast<int>(k)));
+    const double grown = std::ldexp(1.0, doublings);
     m += std::min(grown, budget);
     if (m >= cap_total) return cap_total;
   }

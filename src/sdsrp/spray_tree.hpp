@@ -15,13 +15,14 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 namespace dtn::sdsrp {
 
 struct SprayTreeInputs {
-  /// Times this lineage was binary-sprayed, oldest first.
-  std::vector<double> spray_times;
+  /// Times this lineage was binary-sprayed, oldest first: a view of the
+  /// rated copy's lineage, which must outlive the call.
+  std::span<const double> spray_times;
   double now = 0.0;            ///< current time (fallback t_n)
   double mean_min_imt = 1.0;   ///< E(I_min)
   double initial_copies = 1.0; ///< C

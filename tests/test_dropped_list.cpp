@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "src/sdsrp/dropped_list.hpp"
 #include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
+#include "src/util/rng.hpp"
 
 namespace dtn::sdsrp {
 namespace {
@@ -241,6 +244,100 @@ TEST(DroppedListState, RejectsRepeatedId) {
 TEST(DroppedListState, RejectsDescendingIds) {
   DroppedList d(0);
   EXPECT_THROW(load(d, {{1, {7, 5}}}), PreconditionError);
+}
+
+TEST(DroppedListState, RejectsIdsTheIndexReserves) {
+  // The d̂ index keeps the two largest ids as slot markers.
+  DroppedList d(0);
+  EXPECT_THROW(load(d, {{1, {5, ~std::uint64_t{0}}}}), PreconditionError);
+}
+
+// --- seeded model check of the d̂ index ---
+
+// How many of the records `d` knows contain each id below `id_bound`,
+// counted from the records themselves: read back from d's own save, not
+// from its index.
+std::vector<int> brute_force_counts(const DroppedList& d,
+                                    std::uint64_t id_bound) {
+  snapshot::ArchiveWriter w;
+  d.save_state(w);
+  snapshot::ArchiveReader in(w.bytes());
+  in.begin_section("dropped-list");
+  in.u64();  // owner
+  std::vector<int> counts(id_bound, 0);
+  const std::uint64_t n_records = in.u64();
+  for (std::uint64_t i = 0; i < n_records; ++i) {
+    in.u64();  // record owner
+    in.f64();  // record time
+    const std::uint64_t n_ids = in.u64();
+    for (std::uint64_t j = 0; j < n_ids; ++j) ++counts.at(in.u64());
+  }
+  in.end_section();
+  return counts;
+}
+
+TEST(DroppedListModel, CountIndexMatchesRecordsUnderRandomOps) {
+  // Random local drops, gossip merges, forgets and save/load round trips
+  // across 8 lists. After every operation each list's count_drops must
+  // equal the brute-force count of its known records, for every id ever
+  // dropped — ids whose count fell back to 0 included. Checking every
+  // list, not only the one operated on, also catches a change leaking
+  // into a record another list shares.
+  constexpr std::size_t kLists = 8;
+  for (const std::uint64_t seed : {5ull, 23ull}) {
+    std::vector<DroppedList> lists;
+    for (std::size_t i = 0; i < kLists; ++i) lists.emplace_back(i);
+    std::set<std::uint64_t> seen;
+    Rng rng(seed);
+    const auto pick = [&rng](const auto& container) {
+      auto it = container.begin();
+      std::advance(it, rng.uniform_int(
+                           0, static_cast<std::int64_t>(container.size()) - 1));
+      return *it;
+    };
+    double now = 0.0;
+    std::uint64_t next_id = 1;
+    for (int op = 0; op < 2000; ++op) {
+      now += rng.uniform(0.5, 5.0);
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kLists) - 1));
+      const double roll = rng.uniform01();
+      if (roll < 0.45) {  // local drop: mostly fresh ids, some seen ones
+        const std::uint64_t msg =
+            seen.empty() || rng.bernoulli(0.6) ? next_id++ : pick(seen);
+        lists[i].record_local_drop(msg, now);
+        seen.insert(msg);
+      } else if (roll < 0.85) {  // gossip from another list
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kLists) - 1));
+        if (j != i) lists[i].merge_from(lists[j]);
+      } else if (roll < 0.93) {
+        if (!seen.empty()) lists[i].forget_message(pick(seen));
+      } else {  // save/load, into the same list or a fresh one
+        snapshot::ArchiveWriter w;
+        lists[i].save_state(w);
+        snapshot::ArchiveReader in(w.bytes());
+        if (rng.bernoulli(0.5)) {
+          lists[i].load_state(in);
+        } else {
+          DroppedList fresh(i);
+          fresh.load_state(in);
+          lists[i] = std::move(fresh);
+        }
+      }
+      for (std::size_t k = 0; k < kLists; ++k) {
+        const std::vector<int> truth = brute_force_counts(lists[k], next_id);
+        for (std::uint64_t msg : seen) {
+          ASSERT_DOUBLE_EQ(lists[k].count_drops(msg), truth[msg])
+              << "seed " << seed << ", op " << op << ", list " << k
+              << ", message " << msg;
+        }
+      }
+    }
+    // Enough distinct ids that every index outgrew its first 16 slots
+    // several times over (it doubles at 70% load).
+    EXPECT_GE(seen.size(), 300u);
+  }
 }
 
 }  // namespace

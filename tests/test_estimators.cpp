@@ -2,8 +2,10 @@
 // λ, λ_min) and the spray-tree m̂/n̂ estimates (Eq. 14/15).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -248,36 +250,43 @@ TEST(IntermeetingEstimatorState, RejectsOpenCountThatDisagrees) {
 
 // --- spray tree ---
 
-SprayTreeInputs tree(std::vector<double> times, double now, double ei_min,
-                     double c0, std::size_t n_nodes = 100) {
-  SprayTreeInputs in;
-  in.spray_times = std::move(times);
-  in.now = now;
-  in.mean_min_imt = ei_min;
-  in.initial_copies = c0;
-  in.n_nodes = n_nodes;
-  return in;
-}
+// SprayTreeInputs only views its spray times, so the test inputs own
+// theirs; not copyable, so the view can never outlive them.
+struct Tree : SprayTreeInputs {
+  Tree(std::vector<double> t, double now_s, double ei_min, double c0,
+       std::size_t nodes = 100)
+      : times(std::move(t)) {
+    spray_times = times;
+    now = now_s;
+    mean_min_imt = ei_min;
+    initial_copies = c0;
+    n_nodes = nodes;
+  }
+  Tree(const Tree&) = delete;
+  Tree& operator=(const Tree&) = delete;
+
+  std::vector<double> times;
+};
 
 TEST(SprayTree, NeverSprayedMeansNobodySawIt) {
-  EXPECT_DOUBLE_EQ(estimate_m_seen(tree({}, 100.0, 10.0, 32.0)), 0.0);
+  EXPECT_DOUBLE_EQ(estimate_m_seen(Tree({}, 100.0, 10.0, 32.0)), 0.0);
 }
 
 TEST(SprayTree, SingleSprayCountsTheCounterpart) {
   // One spray: only the "+1" term of Eq. 15 — exactly one other node.
-  EXPECT_DOUBLE_EQ(estimate_m_seen(tree({50.0}, 500.0, 10.0, 32.0)), 1.0);
+  EXPECT_DOUBLE_EQ(estimate_m_seen(Tree({50.0}, 500.0, 10.0, 32.0)), 1.0);
 }
 
 TEST(SprayTree, BranchesDoublePerMinIntermeetingInterval) {
   // Two sprays anchored at t_n = 30: branch 1 age 20, E(I_min)=10 ->
   // 2^2 = 4, plus the +1 -> 5.
   const double m =
-      estimate_m_seen(tree({10.0, 30.0}, 1000.0, 10.0, 32.0));
+      estimate_m_seen(Tree({10.0, 30.0}, 1000.0, 10.0, 32.0));
   EXPECT_DOUBLE_EQ(m, 5.0);
 }
 
 TEST(SprayTree, AnchorAtNowGrowsBetweenContacts) {
-  SprayTreeInputs in = tree({10.0, 30.0}, 70.0, 10.0, 32.0);
+  Tree in({10.0, 30.0}, 70.0, 10.0, 32.0);
   in.anchor_at_last_spray = false;
   // Branch age = 70-10 = 60 -> 2^6 = 64, capped at branch budget 16 -> 17.
   EXPECT_DOUBLE_EQ(estimate_m_seen(in), 17.0);
@@ -286,13 +295,13 @@ TEST(SprayTree, AnchorAtNowGrowsBetweenContacts) {
 TEST(SprayTree, BranchBudgetCapsGrowth) {
   // With C=8, branch 1's subtree holds at most 4 copies, however old.
   const double m =
-      estimate_m_seen(tree({0.0, 1000.0}, 1000.0, 1.0, 8.0));
+      estimate_m_seen(Tree({0.0, 1000.0}, 1000.0, 1.0, 8.0));
   EXPECT_DOUBLE_EQ(m, 5.0);  // min(2^1000, 4) + 1
 }
 
 TEST(SprayTree, TotalCappedAtNMinus1) {
   const double m = estimate_m_seen(
-      tree({0.0, 10.0, 20.0, 1000.0}, 1000.0, 1.0, 1e9, /*n_nodes=*/50));
+      Tree({0.0, 10.0, 20.0, 1000.0}, 1000.0, 1.0, 1e9, /*n_nodes=*/50));
   EXPECT_DOUBLE_EQ(m, 49.0);
 }
 
@@ -302,16 +311,55 @@ TEST(SprayTree, MoreSpraysNeverDecreaseEstimate) {
   for (int k = 1; k <= 6; ++k) {
     times.push_back(k * 100.0);
     const double m =
-        estimate_m_seen(tree(times, 1000.0, 50.0, 64.0));
+        estimate_m_seen(Tree(times, 1000.0, 50.0, 64.0));
     EXPECT_GE(m, prev);
     prev = m;
   }
 }
 
+TEST(SprayTree, LdexpPowersMatchPowBitForBit) {
+  // Eq. 15 as first written, with std::pow: the estimator's exact powers
+  // of two must reproduce it bit for bit over ages, budgets and caps.
+  const auto with_pow = [](const SprayTreeInputs& in) {
+    const std::size_t n = in.spray_times.size();
+    if (n == 0) return 0.0;
+    const double cap_total = static_cast<double>(in.n_nodes - 1);
+    const double t_n = in.spray_times.back();
+    double m = 1.0;
+    for (std::size_t k = 1; k < n; ++k) {
+      const double age = t_n - in.spray_times[k - 1];
+      const double doublings =
+          std::floor(std::max(age, 0.0) / in.mean_min_imt);
+      const double budget = std::max(
+          1.0, in.initial_copies / std::pow(2.0, static_cast<double>(k)));
+      m += std::min(std::pow(2.0, std::min(doublings, 60.0)), budget);
+      if (m >= cap_total) return cap_total;
+    }
+    return std::min(m, cap_total);
+  };
+  Rng rng(97);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<double> times;
+    double t = rng.uniform(0.0, 500.0);
+    const int sprays = static_cast<int>(rng.uniform_int(1, 12));
+    for (int k = 0; k < sprays; ++k) {
+      times.push_back(t);
+      t += rng.uniform(0.0, 4000.0);
+    }
+    const double c0 = std::ldexp(1.0, static_cast<int>(rng.uniform_int(0, 40)));
+    const Tree in(times, t, rng.uniform(0.01, 900.0), c0,
+                  static_cast<std::size_t>(rng.uniform_int(2, 5000)));
+    const double got = estimate_m_seen(in);
+    const double want = with_pow(in);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "trial " << trial << ": " << got << " vs " << want;
+  }
+}
+
 TEST(SprayTree, RejectsBadInputs) {
-  EXPECT_THROW(estimate_m_seen(tree({1.0}, 10.0, 0.0, 8.0)),
+  EXPECT_THROW(estimate_m_seen(Tree({1.0}, 10.0, 0.0, 8.0)),
                PreconditionError);
-  SprayTreeInputs in = tree({1.0}, 10.0, 5.0, 8.0);
+  Tree in({1.0}, 10.0, 5.0, 8.0);
   in.n_nodes = 1;
   EXPECT_THROW(estimate_m_seen(in), PreconditionError);
 }

@@ -12,6 +12,7 @@
 #include "src/core/priority_cache.hpp"
 #include "src/core/world.hpp"
 #include "src/snapshot/archive.hpp"
+#include "src/util/error.hpp"
 
 namespace dtn {
 namespace {
@@ -43,7 +44,7 @@ TEST(PriorityCache, InvalidateErasesSingleEntry) {
 TEST(PriorityCache, EpochBumpClearsEverythingAndAdvancesEpoch) {
   PriorityCache c;
   c.store(1, 0.0, 1.0);
-  c.store_send_order({1}, 0.0, 5);
+  c.rewrite_send_order(0.0, 5) = {1};
   const std::uint64_t before = c.epoch();
   const std::uint64_t stamp_before = c.stamp();
   c.bump_epoch();
@@ -56,7 +57,7 @@ TEST(PriorityCache, EpochBumpClearsEverythingAndAdvancesEpoch) {
 
 TEST(PriorityCache, SendOrderKeyedOnRevisionAndQuantum) {
   PriorityCache c;
-  c.store_send_order({3, 1, 2}, 50.0, 9);
+  c.rewrite_send_order(50.0, 9) = {3, 1, 2};
   const auto* order = c.send_order(50.0, 0.0, 9);
   ASSERT_NE(order, nullptr);
   EXPECT_EQ(*order, (std::vector<MessageId>{3, 1, 2}));
@@ -74,7 +75,7 @@ TEST(PriorityCache, DigestHashesEpochButNotMemoEntries) {
   PriorityCache a;
   PriorityCache b;
   a.store(1, 0.0, 1.0);
-  a.store_send_order({1}, 0.0, 1);
+  a.rewrite_send_order(0.0, 1) = {1};
   auto digest_of = [](const PriorityCache& c) {
     snapshot::ArchiveWriter w(snapshot::ArchiveWriter::Mode::kDigestOnly);
     c.save_state(w);
@@ -89,10 +90,10 @@ TEST(PriorityCache, BufferedRoundTripRestoresMemo) {
   PriorityCache a;
   a.store(4, 10.0, 0.25);
   a.store(9, 12.0, 0.75);
-  a.store_send_order({9, 4}, 12.0, 3);
+  a.rewrite_send_order(12.0, 3) = {9, 4};
   a.bump_epoch();  // kills both; epoch = 1
   a.store(4, 14.0, 0.5);
-  a.store_send_order({4}, 14.0, 4);
+  a.rewrite_send_order(14.0, 4) = {4};
   snapshot::ArchiveWriter w;
   a.save_state(w);
   PriorityCache b;
@@ -106,6 +107,94 @@ TEST(PriorityCache, BufferedRoundTripRestoresMemo) {
   const auto* order = b.send_order(14.0, 0.0, 4);
   ASSERT_NE(order, nullptr);
   EXPECT_EQ(*order, (std::vector<MessageId>{4}));
+}
+
+TEST(PriorityCache, EntriesStayOrderedThroughStoresAndInvalidations) {
+  // Stores out of id order, overwrites and erasures: lookups still find
+  // every live entry, and the save is the same as for the same memo
+  // built in ascending order.
+  PriorityCache a;
+  for (MessageId id : {7u, 3u, 11u, 5u, 9u}) a.store(id, 1.0, 0.1 * id);
+  a.store(5, 2.0, 0.55);  // overwrite in place
+  a.invalidate(11);
+  a.invalidate(4);  // absent: only the stamp moves
+  EXPECT_EQ(a.entry_count(), 4u);
+  double out = 0.0;
+  EXPECT_FALSE(a.lookup(11, 2.0, 10.0, &out));
+  ASSERT_TRUE(a.lookup(5, 2.0, 0.0, &out));
+  EXPECT_DOUBLE_EQ(out, 0.55);
+
+  PriorityCache b;
+  b.invalidate(0);
+  b.invalidate(0);  // same stamp as a's two invalidations
+  b.store(3, 1.0, 0.1 * 3);
+  b.store(5, 2.0, 0.55);
+  b.store(7, 1.0, 0.1 * 7);
+  b.store(9, 1.0, 0.1 * 9);
+  snapshot::ArchiveWriter wa;
+  a.save_state(wa);
+  snapshot::ArchiveWriter wb;
+  b.save_state(wb);
+  EXPECT_EQ(wa.bytes(), wb.bytes());
+}
+
+// A hand-built "prio-cache" section: epoch 3, stamp 4, one memo entry
+// per id in the given order, no send order.
+std::vector<std::uint8_t> memo_section(const std::vector<MessageId>& ids) {
+  snapshot::ArchiveWriter w;
+  w.begin_section("prio-cache");
+  w.u64(3);
+  w.u64(4);
+  w.u64(ids.size());
+  for (MessageId id : ids) {
+    w.u64(id);
+    w.f64(0.5);
+    w.f64(1.0);
+  }
+  w.boolean(false);
+  w.end_section();
+  return w.bytes();
+}
+
+void load(PriorityCache& c, const std::vector<MessageId>& ids) {
+  snapshot::ArchiveReader in(memo_section(ids));
+  c.load_state(in);
+}
+
+TEST(PriorityCacheState, LoadsAscendingIdsAndResavesTheSameBytes) {
+  PriorityCache c;
+  load(c, {2, 5, 9});
+  EXPECT_EQ(c.entry_count(), 3u);
+  double out = 0.0;
+  EXPECT_TRUE(c.lookup(5, 1.0, 0.0, &out));
+  snapshot::ArchiveWriter resaved;
+  c.save_state(resaved);
+  EXPECT_EQ(resaved.bytes(), memo_section({2, 5, 9}));
+}
+
+TEST(PriorityCacheState, RejectsRepeatedId) {
+  // Accepting it would restore a memo that saves back to other bytes.
+  PriorityCache c;
+  EXPECT_THROW(load(c, {2, 5, 5}), PreconditionError);
+}
+
+TEST(PriorityCacheState, RejectsIdsOutOfOrder) {
+  PriorityCache c;
+  EXPECT_THROW(load(c, {9, 5}), PreconditionError);
+}
+
+TEST(PriorityCacheState, RejectsEntryCountBeyondTheStream) {
+  // The count sizes the entry vector, so it is checked against the bytes
+  // left before anything is reserved.
+  snapshot::ArchiveWriter w;
+  w.begin_section("prio-cache");
+  w.u64(0);
+  w.u64(0);
+  w.u64(std::uint64_t{1} << 40);
+  w.end_section();
+  PriorityCache c;
+  snapshot::ArchiveReader in(w.bytes());
+  EXPECT_THROW(c.load_state(in), PreconditionError);
 }
 
 // The equivalence proof. priority_refresh_s = 0 restricts reuse to the

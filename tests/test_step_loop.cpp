@@ -2,8 +2,9 @@
 // the legacy-vs-event suite cover: quiet-step batching in run_until is
 // digest-identical to a pure step() loop, a mass TTL expiry purges
 // exactly like the legacy scan, mid-run checkpoints resume digest-equal,
-// the steady-state step loop performs no heap allocation, and the inert
-// `Parallel.threads` key still round-trips without changing a run.
+// the steady-state step loop — SDSRP candidate selection included —
+// performs no heap allocation, and the inert `Parallel.threads` key
+// still round-trips without changing a run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,10 +12,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/buffer/fifo.hpp"
+#include "src/buffer/sdsrp_policy.hpp"
 #include "src/config/scenario.hpp"
 #include "src/core/world.hpp"
 #include "src/mobility/random_walk.hpp"
@@ -319,6 +322,89 @@ TEST(StepLoopScratch, DenseGridRebuildsDoNotAllocateInSteadyState) {
   EXPECT_GT(w->contacts().full_pass_count(), passes_before);
   EXPECT_TRUE(w->contacts().grid().dense());
   EXPECT_TRUE(w->contacts().current().empty());
+#endif  // DTN_NO_ALLOC_COUNTER
+}
+
+/// Spray-and-Wait that counts next_to_send calls and the candidates it
+/// returned, so a test can prove its window re-ran candidate selection.
+class CountingRouter final : public Router {
+ public:
+  const char* name() const override { return inner_.name(); }
+  std::optional<MessageId> next_to_send(
+      const Node& self, const Node& peer,
+      const PolicyContext& ctx) const override {
+    ++calls_;
+    const auto msg = inner_.next_to_send(self, peer, ctx);
+    if (msg.has_value()) ++chosen_;
+    return msg;
+  }
+  bool on_sent(Message& copy, bool delivered, SimTime now) const override {
+    return inner_.on_sent(copy, delivered, now);
+  }
+  void write_relay_copy(const Message& sender_copy, SimTime now,
+                        Message& relay) const override {
+    inner_.write_relay_copy(sender_copy, now, relay);
+  }
+
+  std::size_t calls() const { return calls_; }
+  std::size_t chosen() const { return chosen_; }
+
+ private:
+  SprayAndWaitRouter inner_;
+  mutable std::size_t calls_ = 0;
+  mutable std::size_t chosen_ = 0;
+};
+
+TEST(StepLoopScratch, SdsrpCandidateSelectionDoesNotAllocate) {
+#ifdef DTN_NO_ALLOC_COUNTER
+  GTEST_SKIP() << "allocation counter disabled under AddressSanitizer";
+#else
+  // SDSRP's scheduling path: ranking, the send-order snapshot, one relay
+  // copy rated per candidate and the receiver's admission dry run. Two
+  // stationary nodes hold a standing contact with full buffers. Node 0's
+  // copies can spray (4 copies each), but node 1's wait-phase residents
+  // out-rank every relay copy, so node 1 refuses them all and the pair
+  // idles; node 1 has nothing to spray. Every message is bound for a far
+  // third node and outlives the run. With the priority cache on, the
+  // idle verdicts are re-checked each time the 15 s quantum expires, and
+  // each re-check re-ranks, re-rates and re-plans from scratch storage.
+  WorldConfig cfg;
+  cfg.step = 1.0;
+  cfg.duration = 1000.0;
+  cfg.range = 10.0;
+  cfg.bandwidth = 100.0;
+  cfg.priority_cache = true;
+  cfg.occupancy_sample_interval = 1e9;
+  auto w = std::make_unique<World>(cfg);
+  auto router = std::make_unique<CountingRouter>();
+  const CountingRouter* counting = router.get();
+  w->set_router(std::move(router));
+  w->set_policy(std::make_unique<SdsrpPolicy>());
+  constexpr std::int64_t kCapacity = 1000;
+  w->add_node(std::make_unique<StationaryModel>(Vec2{0.0, 0.0}), kCapacity);
+  w->add_node(std::make_unique<StationaryModel>(Vec2{5.0, 0.0}), kCapacity);
+  w->add_node(std::make_unique<StationaryModel>(Vec2{900.0, 0.0}), kCapacity);
+  MessageId next_id = 1;
+  for (NodeId src : {NodeId{0}, NodeId{1}}) {
+    for (int k = 0; k < 10; ++k) {  // 10 × 100 bytes: each buffer is full
+      Message m = short_ttl_msg(next_id++, src, 2, 50'000.0);
+      m.size = 100;
+      m.copies = m.initial_copies = src == 0 ? 4 : 1;
+      ASSERT_TRUE(w->inject_message(m));
+    }
+  }
+  w->run_until(50.0);  // warm: link up, memos and scratch at working size
+  ASSERT_EQ(w->contacts().current().size(), 1u);
+  const std::size_t calls_before = counting->calls();
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  w->run_until(150.0);
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  // The window must really have re-checked the idle pair: a re-check
+  // every 16 steps in each direction is 12 calls in 100 s.
+  EXPECT_GE(counting->calls() - calls_before, 10u);
+  EXPECT_EQ(counting->chosen(), 0u);
+  EXPECT_EQ(w->stats().transfers_started, 0u);
 #endif  // DTN_NO_ALLOC_COUNTER
 }
 
