@@ -236,7 +236,7 @@ BENCHMARK(BM_WorldDigest)->Unit(benchmark::kMillisecond);
 /// SdsrpPolicy::priority (Eq. 10) for every resident of the paused
 /// world, with the cache off: what one memo miss costs — m̂ from the
 /// copy's spray lineage, d̂ from the drop-count index, λ from the node's
-/// estimator mirror.
+/// inter-meeting estimator.
 void BM_SdsrpPriority(benchmark::State& state) {
   const dtn::World& world = *table2_sdsrp_2mb().world;
   const auto& policy =

@@ -16,10 +16,7 @@ double GbsdPolicy::priority(const Message& m, const PolicyContext& ctx) const {
 
   sdsrp::PriorityInputs in;
   in.n_nodes = ctx.n_nodes;
-  in.lambda =
-      1.0 / (ctx.hot != nullptr
-                 ? hot_mean_intermeeting(*ctx.hot, ctx.node->id(), ctx.now)
-                 : ctx.node->intermeeting().mean_intermeeting(ctx.now));
+  in.lambda = ctx.node->intermeeting().lambda(ctx.now);
   in.copies = 1.0;  // epidemic: no spray tokens, A_i = R_i
   in.remaining_ttl = std::max(m.remaining_ttl(ctx.now), 0.0);
   in.m_seen = ctx.oracle->m_seen(m.id);

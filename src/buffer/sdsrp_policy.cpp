@@ -28,12 +28,7 @@ SdsrpPolicy::Estimates SdsrpPolicy::estimates(const Message& m,
   const Node& node = *ctx.node;
 
   Estimates e;
-  // SoA fast path: stream the World's estimator mirrors (bit-identical
-  // to the member function) instead of dereferencing the estimator.
-  const double ei =
-      ctx.hot != nullptr
-          ? hot_mean_intermeeting(*ctx.hot, node.id(), ctx.now)
-          : node.intermeeting().mean_intermeeting(ctx.now);
+  const double ei = node.intermeeting().mean_intermeeting(ctx.now);
   e.lambda = 1.0 / ei;
 
   sdsrp::SprayTreeInputs sti;
@@ -83,10 +78,7 @@ double SdsrpOraclePolicy::priority(const Message& m,
   in.n_nodes = ctx.n_nodes;
   // The oracle still uses the node's λ estimate: global knowledge in the
   // paper concerns m_i and n_i, not the mobility statistics.
-  in.lambda =
-      1.0 / (ctx.hot != nullptr
-                 ? hot_mean_intermeeting(*ctx.hot, ctx.node->id(), ctx.now)
-                 : ctx.node->intermeeting().mean_intermeeting(ctx.now));
+  in.lambda = ctx.node->intermeeting().lambda(ctx.now);
   in.copies = static_cast<double>(m.copies);
   in.remaining_ttl = std::max(m.remaining_ttl(ctx.now), 0.0);
   in.m_seen = ctx.oracle->m_seen(m.id);

@@ -37,15 +37,6 @@ const Message* Buffer::find(MessageId id) const {
   return const_cast<Buffer*>(this)->find(id);
 }
 
-void Buffer::refresh_hot(MessageId id) {
-  for (Handle h : handles_) {
-    if (arena_->get(h).id == id) {
-      arena_->sync_copies(h);
-      return;
-    }
-  }
-}
-
 bool Buffer::try_insert(Message m) {
   DTN_REQUIRE(!has(m.id), "Buffer: duplicate message id");
   DTN_REQUIRE(m.size > 0, "Buffer: message size must be positive");

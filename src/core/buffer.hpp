@@ -130,15 +130,6 @@ class Buffer {
 
   /// Messages in arrival order.
   View messages() const { return View(&handles_, arena_); }
-  /// Arrival-ordered arena handles (hot paths that resolve themselves).
-  const std::vector<Handle>& handles() const { return handles_; }
-  /// The arena backing this buffer — pairs with handles() so candidate
-  /// scans can stream the hot columns (dest/expiry/copies) directly.
-  const MessageArena& arena() const { return *arena_; }
-  /// Re-mirrors `copies` into the arena's hot column after an in-place
-  /// mutation (routers decrement it through find()); call alongside
-  /// PriorityCache::invalidate. No-op when the message is absent.
-  void refresh_hot(MessageId id);
   /// Pre-sizes the handle span (sizing hygiene for large-N scenarios).
   void reserve_handles(std::size_t n) { handles_.reserve(n); }
 

@@ -17,7 +17,6 @@ namespace dtn {
 
 class Node;
 class GlobalRegistry;
-struct NodeHotState;
 
 namespace snapshot {
 class ArchiveWriter;
@@ -56,11 +55,6 @@ struct PolicyContext {
   /// is decision-identical to recomputing).
   bool cache_enabled = false;
   double priority_refresh_s = 0.0;
-  /// World SoA block (SDSRP estimator mirrors, DESIGN.md §16). When set,
-  /// priority kernels read `hot_mean_intermeeting(*hot, node->id(), now)`
-  /// — bit-identical to the estimator member function — instead of
-  /// chasing the per-node estimator object. Null for standalone nodes.
-  const NodeHotState* hot = nullptr;
   /// The owning World's scheduling scratch; null for standalone nodes.
   SchedulingScratch* scratch = nullptr;
 

@@ -12,23 +12,12 @@
 //   buffer_cap            — fixed at add_node
 //   up, range_factor,     — fault-plan mirrors, written by World when a
 //   bitrate_factor          fault event pops (and refreshed on restore)
-//   imt_*                 — intermeeting-estimator mirrors, written by
-//                           IntermeetingEstimator when bound (phase 2)
 //
 // Node and Buffer keep private fallback members for hot == nullptr so
 // they remain constructible standalone in unit tests; inside a World the
 // arrays are the single source of truth.
-//
-// SoA phase 2 (DESIGN.md §16): the per-node SDSRP estimator scalars are
-// mirrored here so priority evaluation — the hottest per-message loop in
-// Table-II-scale sweeps — streams five parallel arrays instead of
-// chasing a Node* and an IntermeetingEstimator per call.
-// hot_mean_intermeeting replicates the estimator's arithmetic expression
-// *exactly* (same operations, same order, on verbatim-copied scalars) so
-// the mirrored path is bit-identical to the member-function path.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,18 +32,6 @@ struct NodeHotState {
   std::vector<double> range_factor;        ///< fault mirror; 1.0 nominal
   std::vector<double> bitrate_factor;     ///< fault mirror; 1.0 nominal
 
-  // Intermeeting-estimator mirrors (written through by the bound
-  // estimator on every contact event and on restore).
-  std::vector<std::uint64_t> imt_events;   ///< completed-gap count
-  std::vector<double> imt_naive_mean;      ///< mean of completed gaps
-  std::vector<double> imt_closed_exposure; ///< Σ completed gaps
-  std::vector<std::uint64_t> imt_open_count;   ///< peers awaiting re-meet
-  std::vector<double> imt_open_since_sum;  ///< Σ last_end over open gaps
-  // Per-node estimator configuration (fixed at bind time).
-  std::vector<double> imt_prior;           ///< prior E(I) before warm-up
-  std::vector<std::uint64_t> imt_min_samples;
-  std::vector<std::uint8_t> imt_naive;     ///< 1 = naive-mean mode
-
   std::size_t size() const { return radio_busy.size(); }
 
   void add_node(std::int64_t capacity_bytes) {
@@ -65,14 +42,6 @@ struct NodeHotState {
     up.push_back(1);
     range_factor.push_back(1.0);
     bitrate_factor.push_back(1.0);
-    imt_events.push_back(0);
-    imt_naive_mean.push_back(0.0);
-    imt_closed_exposure.push_back(0.0);
-    imt_open_count.push_back(0);
-    imt_open_since_sum.push_back(0.0);
-    imt_prior.push_back(30000.0);
-    imt_min_samples.push_back(4);
-    imt_naive.push_back(1);
   }
 
   void reserve(std::size_t n) {
@@ -83,34 +52,7 @@ struct NodeHotState {
     up.reserve(n);
     range_factor.reserve(n);
     bitrate_factor.reserve(n);
-    imt_events.reserve(n);
-    imt_naive_mean.reserve(n);
-    imt_closed_exposure.reserve(n);
-    imt_open_count.reserve(n);
-    imt_open_since_sum.reserve(n);
-    imt_prior.reserve(n);
-    imt_min_samples.reserve(n);
-    imt_naive.reserve(n);
   }
 };
-
-/// E(I) from the SoA mirrors: replicates
-/// IntermeetingEstimator::mean_intermeeting bit-for-bit (the golden
-/// digest pins depend on this — any re-association of the arithmetic
-/// changes rounding and diverges).
-inline double hot_mean_intermeeting(const NodeHotState& h, std::size_t id,
-                                    double now) {
-  if (h.imt_events[id] < h.imt_min_samples[id]) return h.imt_prior[id];
-  if (h.imt_naive[id] != 0) {
-    const double m = h.imt_naive_mean[id];
-    return m > 0.0 ? m : h.imt_prior[id];
-  }
-  const double open_exposure =
-      static_cast<double>(h.imt_open_count[id]) * now - h.imt_open_since_sum[id];
-  const double exposure = h.imt_closed_exposure[id] + std::max(0.0, open_exposure);
-  const double events = static_cast<double>(h.imt_events[id]);
-  const double mean = exposure / events;
-  return mean > 0.0 ? mean : h.imt_prior[id];
-}
 
 }  // namespace dtn

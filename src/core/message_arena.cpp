@@ -18,9 +18,6 @@ MessageArena::Handle MessageArena::take_slot() {
     slabs_.push_back(std::make_unique<Message[]>(kSlabMask + 1u));
   }
   live_.push_back(0);
-  hot_dest_.push_back(kNoNode);
-  hot_expiry_.push_back(0.0);
-  hot_copies_.push_back(0);
   return h;
 }
 
@@ -39,9 +36,6 @@ MessageArena::Handle MessageArena::alloc(Message&& m) {
     slot.spray_times = std::move(recycled);
   }
   live_[h] = 1;
-  hot_dest_[h] = slot.destination;
-  hot_expiry_[h] = slot.expiry();
-  hot_copies_[h] = slot.copies;
   ++live_count_;
   live_bytes_ += slot.size;
   ++total_allocs_;
@@ -78,9 +72,6 @@ void MessageArena::reserve(std::size_t n) {
   }
   if (live_.capacity() < n) live_.reserve(n);
   if (free_list_.capacity() < n) free_list_.reserve(n);
-  if (hot_dest_.capacity() < n) hot_dest_.reserve(n);
-  if (hot_expiry_.capacity() < n) hot_expiry_.reserve(n);
-  if (hot_copies_.capacity() < n) hot_copies_.reserve(n);
 }
 
 }  // namespace dtn

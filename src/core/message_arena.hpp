@@ -53,20 +53,6 @@ class MessageArena {
     return h < live_.size() && live_[h] != 0;
   }
 
-  // --- hot columns (SoA phase 2, DESIGN.md §16) ---
-  // Per-slot mirrors of the Message fields the candidate scans filter
-  // by, packed in parallel arrays so a buffer sweep streams 4/8-byte
-  // rows instead of resolving whole Message objects. `dest`/`expiry`
-  // are immutable per allocation and written once in alloc();
-  // `copies` is additionally refreshed via sync_copies whenever a
-  // router mutates the field in place (World does this after on_sent).
-  // Dead slots hold stale values — readers must only index handles they
-  // know to be live (a Buffer's own span always is).
-  NodeId dest_of(Handle h) const { return hot_dest_[h]; }
-  SimTime expiry_of(Handle h) const { return hot_expiry_[h]; }
-  int copies_of(Handle h) const { return hot_copies_[h]; }
-  void sync_copies(Handle h) { hot_copies_[h] = get(h).copies; }
-
   /// Pre-sizes slabs, flags and the free list for `n` total slots so
   /// reaching that population allocates nothing inside the step loop.
   void reserve(std::size_t n);
@@ -90,9 +76,6 @@ class MessageArena {
   std::vector<std::unique_ptr<Message[]>> slabs_;
   std::vector<Handle> free_list_;      ///< LIFO recycling
   std::vector<std::uint8_t> live_;     ///< per-slot liveness, size next_
-  std::vector<NodeId> hot_dest_;       ///< parallel column, size next_
-  std::vector<SimTime> hot_expiry_;    ///< parallel column, size next_
-  std::vector<int> hot_copies_;        ///< parallel column, size next_
   std::uint32_t next_ = 0;             ///< first never-used handle
   std::size_t live_count_ = 0;
   std::int64_t live_bytes_ = 0;

@@ -25,9 +25,6 @@ Node::Node(NodeId id, MobilityPtr mobility, std::int64_t buffer_capacity,
   DTN_REQUIRE(mobility_ != nullptr, "Node: mobility required");
   DTN_REQUIRE(router_ != nullptr, "Node: router required");
   DTN_REQUIRE(policy_ != nullptr, "Node: buffer policy required");
-  // Mirror the estimator scalars into the SoA block (the row was added
-  // by World::add_node before this constructor ran).
-  if (hot_ != nullptr) imt_.bind_hot(hot_, id_);
 }
 
 void Node::unpin(MessageId id) {

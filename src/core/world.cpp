@@ -11,10 +11,6 @@
 namespace dtn {
 
 namespace {
-/// Most steps a quiet batch may fuse (bounds the per-step displacement
-/// maxima array in run_quiet_batch).
-constexpr std::size_t kQuietBatchMax = 32;
-
 inline double wall_now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -162,7 +158,6 @@ PolicyContext World::ctx_for(const Node& n) const {
   ctx.oracle = &registry_;
   ctx.cache_enabled = cfg_.priority_cache;
   ctx.priority_refresh_s = cfg_.priority_refresh_s;
-  ctx.hot = &hot_;
   ctx.scratch = &scheduling_scratch_;
   return ctx;
 }
@@ -227,95 +222,7 @@ void World::step() {
 }
 
 void World::run_until(SimTime t) {
-  while (now_ + cfg_.step <= t + 1e-9) {
-    const std::size_t k = quiet_batch_limit(t);
-    if (k >= 2) {
-      run_quiet_batch(k);
-    } else {
-      step();
-    }
-  }
-}
-
-std::size_t World::quiet_batch_limit(SimTime t) const {
-  // A batch of k steps is legal when each of those steps, run normally,
-  // would provably (a) produce empty churn (quiet_ready: skipping armed,
-  // no watch pairs; the budget covers k steps of worst-case motion),
-  // (b) start no transfer (no active contacts, and none can appear),
-  // (c) fire no completion / expiry / traffic / occupancy event, and
-  // (d) publish nothing (no observers). Such a step's entire effect is
-  // advancing mobility and charging the kinetic budget — which
-  // run_quiet_batch replays exactly, so the decision is state-pure.
-  if (cfg_.legacy_step || fault_ != nullptr || !kinetics_configured_) return 0;
-  if (!observers_.empty() || nodes_.size() < 2) return 0;
-  const std::size_t n = nodes_.size();
-  if (!tracker_.quiet_ready(n)) return 0;
-  if (!tracker_.current().empty() || !transfers_.empty()) return 0;
-  const double bound = tracker_.motion_bound();
-  if (bound < 0.0) return 0;
-  const double budget = tracker_.kinetic_budget();
-  std::size_t k = 0;
-  SimTime next = now_;
-  while (k < kQuietBatchMax) {
-    const SimTime cand = next + cfg_.step;
-    if (cand > t + 1e-9) break;
-    // Worst-case cumulative charge, with headroom dominating the
-    // per-charge kBudgetEps guards (1e-6 >> 32 * 1e-9).
-    if (2.0 * bound * static_cast<double>(k + 1) + 1e-6 > budget) break;
-    if (!expiry_heap_.empty() && expiry_heap_.front().expiry <= cand) break;
-    // Tombstoned ETA entries break the batch too: a normal step would
-    // pop (and discard) them, and leaving heaps to diverge from the
-    // serial trajectory — while digest-invisible — costs nothing here.
-    if (!eta_heap_.empty() && eta_heap_.front().eta <= cand + 1e-9) break;
-    if (gen_ != nullptr && gen_->next_due() <= cand &&
-        gen_->next_due() <= gen_->config().stop) {
-      break;
-    }
-    if (cand + 1e-9 >= next_occupancy_sample_) break;
-    next = cand;
-    ++k;
-  }
-  if (k == 0) return 0;
-  // External teleports (tests nudging a StationaryModel between runs)
-  // invalidate the advertised bound without an advance() call. The
-  // tracker's reference snapshot is bit-identical to the models' current
-  // positions unless someone moved one out-of-band — in that case fall
-  // back to a normal step, whose full-pass path absorbs teleports.
-  const std::vector<Vec2>& prev = tracker_.prev_positions();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 p = mobility_raw_[i]->position();
-    if (p.x != prev[i].x || p.y != prev[i].y) return 0;
-  }
-  return k;
-}
-
-void World::run_quiet_batch(std::size_t k) {
-  const std::size_t n = nodes_.size();
-  positions_.resize(n);
-  double maxd2[kQuietBatchMax] = {};
-  const std::vector<Vec2>& prev = tracker_.prev_positions();
-  for (std::size_t i = 0; i < n; ++i) {
-    MobilityModel* m = mobility_raw_[i];
-    Vec2 p = prev[i];
-    for (std::size_t j = 0; j < k; ++j) {
-      m->advance(cfg_.step);
-      const Vec2 q = m->position();
-      maxd2[j] = std::max(maxd2[j], distance2(p, q));
-      p = q;
-    }
-    positions_[i] = p;
-  }
-  // Charge each fused step's exact observed displacement in step order —
-  // the same (exactly associative) max reduce and the same budget
-  // decrements an unbatched run performs, so updates_ / budget / digest
-  // trajectories are bit-identical. charge_quiet_step's DTN_REQUIRE turns
-  // a mobility model overshooting its advertised bound into a crash
-  // instead of silent contact corruption.
-  for (std::size_t j = 0; j < k; ++j) {
-    tracker_.charge_quiet_step(maxd2[j]);
-    now_ += cfg_.step;  // repeated add: bit-exact vs. k unbatched steps
-  }
-  tracker_.commit_positions(positions_);
+  while (now_ + cfg_.step <= t + 1e-9) step();
 }
 
 void World::run() { run_until(cfg_.duration); }
@@ -630,7 +537,6 @@ void World::handle_completion(const Transfer& t) {
     const bool keep = router_->on_sent(*copy, /*delivered=*/true, now_);
     // Routers may mutate the sender copy in place on send.
     from.priority_cache().invalidate(t.msg);
-    from.buffer().refresh_hot(t.msg);
     if (!keep) {
       from.buffer().take(t.msg);
       registry_.on_copy_removed(t.msg, t.from, /*dropped=*/false);
@@ -674,10 +580,8 @@ void World::handle_completion(const Transfer& t) {
   for (const Message& ev : res.evicted) handle_drop(to, ev);
   const bool keep = router_->on_sent(*copy, /*delivered=*/false, now_);
   // on_sent halves/decrements the sender's copy tokens and appends the
-  // spray lineage: the memoized priority for this id is stale, and so is
-  // the arena's copies column.
+  // spray lineage: the memoized priority for this id is stale.
   from.priority_cache().invalidate(t.msg);
-  from.buffer().refresh_hot(t.msg);
   if (!keep) {
     from.buffer().take(t.msg);
     registry_.on_copy_removed(t.msg, t.from, /*dropped=*/false);
@@ -686,32 +590,37 @@ void World::handle_completion(const Transfer& t) {
 
 void World::generate_traffic() {
   gen_->poll(now_, traffic_scratch_);
-  for (Message& m : traffic_scratch_) {
-    ++stats_.created;
-    const MessageId id = m.id;
-    const NodeId src = m.source;
-    const SimTime expiry = m.expiry();
-    registry_.on_created(id, src);
-    notify([&m, this](WorldObserver& o) { o.on_message_created(m, now_); });
-    if (fault_ != nullptr && hot_.up[src] == 0) {
-      // The application layer produced the message (the generator's
-      // schedule is fault-independent) but the node is down: it is lost
-      // at the source. No record_drop — the policy never saw it.
-      ++stats_.source_rejected;
-      registry_.on_copy_removed(id, src, /*dropped=*/true);
-      continue;
-    }
-    Node& source = node(src);
-    Node::AdmitResult res = source.admit(std::move(m), ctx_for(source));
-    if (!res.admitted) {
-      ++stats_.source_rejected;
-      registry_.on_copy_removed(id, src, /*dropped=*/true);
-      if (policy_->uses_dropped_list()) source.record_drop(id, now_);
-      continue;
-    }
-    if (!cfg_.legacy_step) push_expiry(src, expiry, id);
-    for (const Message& ev : res.evicted) handle_drop(source, ev);
+  for (Message& m : traffic_scratch_) admit_at_source(std::move(m));
+}
+
+bool World::admit_at_source(Message&& m) {
+  ++stats_.created;
+  const MessageId id = m.id;
+  const NodeId src = m.source;
+  const SimTime expiry = m.expiry();
+  registry_.on_created(id, src);
+  notify([&m, this](WorldObserver& o) { o.on_message_created(m, now_); });
+  if (fault_ != nullptr && hot_.up[src] == 0) {
+    // The application layer produced the message (the generator's
+    // schedule is fault-independent) but the node is down: it is lost
+    // at the source. No record_drop — the policy never saw it.
+    ++stats_.source_rejected;
+    registry_.on_copy_removed(id, src, /*dropped=*/true);
+    return false;
   }
+  Node& source = node(src);
+  Node::AdmitResult res = source.admit(std::move(m), ctx_for(source));
+  if (!res.admitted) {
+    ++stats_.source_rejected;
+    registry_.on_copy_removed(id, src, /*dropped=*/true);
+    // A source-side rejection is a local drop: SDSRP's d̂_i must not
+    // depend on how the message entered the world.
+    if (policy_->uses_dropped_list()) source.record_drop(id, now_);
+    return false;
+  }
+  if (!cfg_.legacy_step) push_expiry(src, expiry, id);
+  for (const Message& ev : res.evicted) handle_drop(source, ev);
+  return true;
 }
 
 void World::purge_ttl() {
@@ -834,31 +743,8 @@ void World::handle_drop(Node& n, const Message& m) {
 }
 
 bool World::inject_message(Message m) {
-  ++stats_.created;
-  const MessageId id = m.id;
-  const NodeId src = m.source;
-  const SimTime expiry = m.expiry();
-  DTN_REQUIRE(src < nodes_.size(), "inject: source out of range");
-  registry_.on_created(id, src);
-  notify([&m, this](WorldObserver& o) { o.on_message_created(m, now_); });
-  if (fault_ != nullptr && !fault_->is_up(src)) {
-    ++stats_.source_rejected;
-    registry_.on_copy_removed(id, src, /*dropped=*/true);
-    return false;  // mirror generate_traffic: a down source loses the message
-  }
-  Node& source = node(src);
-  Node::AdmitResult res = source.admit(std::move(m), ctx_for(source));
-  if (!res.admitted) {
-    ++stats_.source_rejected;
-    registry_.on_copy_removed(id, src, /*dropped=*/true);
-    // Mirror generate_traffic: a source-side rejection is a local drop —
-    // SDSRP's d̂_i must not depend on how the message entered the world.
-    if (policy_->uses_dropped_list()) source.record_drop(id, now_);
-    return false;
-  }
-  if (!cfg_.legacy_step) push_expiry(src, expiry, id);
-  for (const Message& ev : res.evicted) handle_drop(source, ev);
-  return true;
+  DTN_REQUIRE(m.source < nodes_.size(), "inject: source out of range");
+  return admit_at_source(std::move(m));
 }
 
 void World::purge_acked(Node& n) {
@@ -1002,7 +888,7 @@ void World::load_state(snapshot::ArchiveReader& in) {
   DTN_REQUIRE(n_nodes == nodes_.size(),
               "load_state: node count does not match this world");
   for (auto& n : nodes_) n->load_state(in);
-  tracker_.load_state(in);
+  tracker_.load_state(in, nodes_.size());
   transfers_.clear();
   // from, to, msg, started, eta
   const std::size_t n_transfers = in.count(2 * snapshot::kTaggedU32Bytes +

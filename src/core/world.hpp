@@ -72,8 +72,8 @@ struct WorldConfig {
   bool profile_phases = false;
 };
 
-/// Cumulative wall-clock seconds per step phase (profile_phases only).
-/// Quiet-batched steps (run_until) bypass step() and are not counted.
+/// Cumulative wall-clock seconds per step phase (profile_phases only);
+/// `steps` counts every step() call.
 struct PhaseProfile {
   double mobility_s = 0.0;   ///< mobility advance
   double contacts_s = 0.0;   ///< tracker update + link churn
@@ -212,6 +212,11 @@ class World {
   void complete_due_transfers();
   void handle_completion(const Transfer& t);
   void generate_traffic();
+  /// Creates `m` at its source: counts and registers it, then admits it
+  /// (recording the evictions) or books the loss — a down source, or a
+  /// rejection the dropped list records. Shared by generate_traffic and
+  /// inject_message. Returns whether the source admitted it.
+  bool admit_at_source(Message&& m);
   void purge_ttl();
   void start_transfers();
   void try_start(NodeId from, NodeId to);
@@ -250,19 +255,6 @@ class World {
   /// loop allocates nothing even at 100k nodes (runs once, lazily, with
   /// configure_kinetics).
   void prepare_capacity();
-
-  // --- quiet-step batching (run_until, DESIGN.md §16) ---
-  /// How many whole steps (0..kQuietBatchMax) can provably pass no
-  /// event before `t`: empty watch set, kinetic budget covering
-  /// worst-case motion, no transfer/expiry/traffic/occupancy deadline
-  /// inside the window. 0 disables batching for this iteration.
-  std::size_t quiet_batch_limit(SimTime t) const;
-  /// Advances mobility k steps fused in one sweep over the fleet,
-  /// charging the tracker's kinetic budget per step with the exact
-  /// per-step observed displacement — updates_/budget trajectories are
-  /// bit-identical to k unbatched steps (which would each early-out
-  /// everywhere else).
-  void run_quiet_batch(std::size_t k);
 
   template <typename Fn>
   void notify(Fn&& fn) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <tuple>
 
 #include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
@@ -13,6 +14,8 @@ namespace {
 /// Full passes are sized so that, at the advertised bound, roughly this
 /// many updates can be skipped between passes (budget slack / 2·bound).
 constexpr double kSlackSteps = 32.0;
+/// FP guard margin in budget comparisons.
+constexpr double kBudgetEps = 1e-9;
 }  // namespace
 
 ContactTracker::ContactTracker(double range) : range_(range), grid_(range) {
@@ -20,12 +23,9 @@ ContactTracker::ContactTracker(double range) : range_(range), grid_(range) {
 }
 
 void ContactTracker::set_motion_bound(double bound) {
-  // Record the advertised bound first: quiet-batch sizing reads it even
-  // when the derived slack (and thus the budget) is unchanged.
-  bound_ = std::isfinite(bound) && bound >= 0.0 ? bound : -1.0;
   double slack = 0.0;
-  if (bound_ >= 0.0) {
-    slack = bound_ == 0.0 ? range_ : std::min(range_, kSlackSteps * bound_);
+  if (std::isfinite(bound) && bound >= 0.0) {
+    slack = bound == 0.0 ? range_ : std::min(range_, kSlackSteps * bound);
   }
   if (slack == slack_) return;  // unchanged: keep any (restored) budget
   slack_ = slack;
@@ -130,20 +130,6 @@ void ContactTracker::full_pass(const std::vector<Vec2>& positions) {
           : 0.0;
 }
 
-void ContactTracker::charge_quiet_step(double max_d2) {
-  ++updates_;
-  const double spent = 2.0 * std::sqrt(max_d2);
-  DTN_REQUIRE(spent + kBudgetEps <= budget_,
-              "quiet step: observed motion exceeds the kinetic budget "
-              "(mobility model moved faster than its advertised bound)");
-  budget_ -= spent;
-}
-
-void ContactTracker::commit_positions(const std::vector<Vec2>& positions) {
-  prev_ = positions;
-  have_prev_ = true;
-}
-
 void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
   out.begin_section("contacts");
   out.u64(current_.size());
@@ -173,18 +159,24 @@ void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
   out.end_section();
 }
 
-void ContactTracker::load_state(snapshot::ArchiveReader& in) {
+void ContactTracker::load_state(snapshot::ArchiveReader& in,
+                                std::size_t n_nodes) {
   in.begin_section("contacts");
   current_.clear();
   const std::size_t n = in.count(2 * snapshot::kTagged64Bytes);
   current_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto a = static_cast<std::size_t>(in.u64());
-    const auto b = static_cast<std::size_t>(in.u64());
-    current_.emplace_back(a, b);
+    const std::uint64_t a = in.u64();
+    const std::uint64_t b = in.u64();
+    // Pairs index per-node arrays downstream; a repeated pair would also
+    // be reported gone down by the next full pass while still in range.
+    DTN_REQUIRE(a < b && b < n_nodes,
+                "contacts: snapshot pair is not two distinct node ids");
+    const NodePair p{static_cast<std::size_t>(a), static_cast<std::size_t>(b)};
+    DTN_REQUIRE(current_.empty() || current_.back() < p,
+                "contacts: snapshot pairs repeated or out of order");
+    current_.push_back(p);
   }
-  DTN_REQUIRE(std::is_sorted(current_.begin(), current_.end()),
-              "contacts: snapshot pair set not sorted");
   if (in.version() >= 3) {
     slack_ = in.f64();
     budget_ = in.f64();
@@ -206,6 +198,12 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in) {
       wp.i = in.u32();
       wp.j = in.u32();
       wp.in_contact = in.boolean();
+      DTN_REQUIRE(wp.i < wp.j && wp.j < n_nodes,
+                  "contacts: watch pair is not two distinct node ids");
+      DTN_REQUIRE(watch_.empty() ||
+                      std::tie(watch_.back().i, watch_.back().j) <
+                          std::tie(wp.i, wp.j),
+                  "contacts: watch pairs repeated or out of order");
       watch_.push_back(wp);
     }
   } else {

@@ -73,42 +73,6 @@ class ContactTracker {
   /// reference and the `current()` view stay valid until the next update.
   const ContactChurn& update(const std::vector<Vec2>& positions);
 
-  // --- quiet-step support (batched stepping, DESIGN.md §16) ---
-  // When the watch set is empty and the budget covers several steps of
-  // worst-case motion, no pair can change status for k steps: the caller
-  // may advance mobility k times without any tracker pass, charging each
-  // step's observed displacement. commit_positions replaces the
-  // reference snapshot at the end of the batch.
-
-  /// True when update() would provably produce empty churn for any step
-  /// whose displacement fits the budget: skipping is armed and there are
-  /// no boundary pairs to recheck.
-  bool quiet_ready(std::size_t n_nodes) const {
-    return wants_displacement(n_nodes) && watch_.empty();
-  }
-  /// Remaining kinetic budget in meters of pairwise-distance motion.
-  double kinetic_budget() const { return budget_; }
-  /// The advertised per-step motion bound (< 0: skipping disabled).
-  double motion_bound() const { return bound_; }
-  /// Books one skipped-without-recheck step: charges the observed
-  /// displacement against the budget exactly like update() would.
-  /// Precondition: the charge fits (caller sized the batch from
-  /// kinetic_budget() / motion_bound()).
-  void charge_quiet_step(double max_d2);
-  /// Replaces the reference positions after a quiet batch.
-  void commit_positions(const std::vector<Vec2>& positions);
-
-  /// Positions at the previous update — the displacement reference for
-  /// skip decisions and quiet batches. Valid when quiet_ready returned
-  /// true; unlike the caller's own position buffer it survives
-  /// checkpoints, so batch sizing reads it rather than a possibly-stale
-  /// working copy.
-  const std::vector<Vec2>& prev_positions() const { return prev_; }
-
-  /// FP guard margin used in budget comparisons (callers sizing quiet
-  /// batches must leave the same headroom).
-  static constexpr double kBudgetEps = 1e-9;
-
   /// Pairs currently in contact (sorted ascending).
   const std::vector<NodePair>& current() const { return current_; }
 
@@ -140,9 +104,11 @@ class ContactTracker {
   /// into digests); the kinetic bookkeeping (slack, remaining budget,
   /// last-seen positions) is derived-but-deterministic and is carried
   /// only in buffered checkpoints so a restored run skips the same steps
-  /// an uninterrupted one does.
+  /// an uninterrupted one does. `load_state` throws PreconditionError
+  /// unless every contact and watch pair names two node ids below
+  /// `n_nodes`, first below second, and each list is strictly ascending.
   void save_state(snapshot::ArchiveWriter& out) const;
-  void load_state(snapshot::ArchiveReader& in);
+  void load_state(snapshot::ArchiveReader& in, std::size_t n_nodes);
 
  private:
   /// A pair near the range boundary, re-checked exactly on skip steps.
@@ -167,7 +133,6 @@ class ContactTracker {
   double range_;
   double slack_ = 0.0;    ///< extra grid radius; 0 = skipping disabled
   double budget_ = 0.0;   ///< remaining motion (m) before a pass is due
-  double bound_ = -1.0;   ///< advertised per-step motion bound (< 0: off)
   bool have_prev_ = false;
   SpatialGrid grid_;
   std::vector<NodePair> current_;  ///< sorted

@@ -6,15 +6,9 @@ std::vector<const Message*> deliverable_messages(const Node& self,
                                                  const Node& peer,
                                                  const PolicyContext& ctx) {
   std::vector<const Message*> out;
-  // Stream the arena's hot columns (dest/expiry) and only resolve the
-  // full Message for the rare handles that pass both gates — on a relay
-  // node almost nothing is addressed to this particular peer.
-  const Buffer& buf = self.buffer();
-  const MessageArena& arena = buf.arena();
-  for (Buffer::Handle h : buf.handles()) {
-    if (arena.dest_of(h) != peer.id()) continue;
-    if (ctx.now >= arena.expiry_of(h)) continue;  // == Message::expired
-    const Message& m = arena.get(h);
+  for (const Message& m : self.buffer().messages()) {
+    if (m.destination != peer.id()) continue;
+    if (m.expired(ctx.now)) continue;
     if (peer.has_delivered(m.id)) continue;
     out.push_back(&m);
   }

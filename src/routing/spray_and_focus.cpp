@@ -12,13 +12,8 @@ std::optional<MessageId> SprayAndFocusRouter::next_to_send(
   if (!deliverable.empty()) return deliverable.front()->id;
 
   std::vector<const Message*> candidates;
-  // The expiry gate streams the arena's hot column before resolving the
-  // Message (the peer/focus checks need the full record anyway).
-  const Buffer& buf = self.buffer();
-  const MessageArena& arena = buf.arena();
-  for (Buffer::Handle h : buf.handles()) {
-    if (ctx.now >= arena.expiry_of(h)) continue;  // == Message::expired
-    const Message& m = arena.get(h);
+  for (const Message& m : self.buffer().messages()) {
+    if (m.expired(ctx.now)) continue;
     if (!routing::peer_can_receive(peer, m)) continue;
     if (m.copies >= 2) {
       candidates.push_back(&m);  // spray phase

@@ -43,19 +43,12 @@ std::optional<MessageId> SprayAndWaitRouter::next_to_send(
   } else if (memoize) {
     // Rank first (peer-independent), memoize, then peer-filter. For a
     // total ordering this commutes with the filter-then-rank order below.
-    // The expiry/copies gates stream the arena's hot columns; the full
-    // Message is only resolved for survivors (source check + ranking).
     std::vector<const Message*> local_ranked;
     std::vector<const Message*>& ranked =
         ctx.scratch != nullptr ? ctx.scratch->ranked : local_ranked;
     ranked.clear();
-    const Buffer& buf = self.buffer();
-    const MessageArena& arena = buf.arena();
-    for (Buffer::Handle h : buf.handles()) {
-      if (ctx.now >= arena.expiry_of(h)) continue;  // == Message::expired
-      if (arena.copies_of(h) < 2) continue;         // wait phase
-      const Message& m = arena.get(h);
-      if (!cfg_.binary && m.source != self.id()) continue;  // source spray
+    for (const Message& m : self.buffer().messages()) {
+      if (m.expired(ctx.now) || !can_spray(m, self)) continue;
       ranked.push_back(&m);
     }
     self.policy().order_for_sending(ranked, ctx);
@@ -69,13 +62,8 @@ std::optional<MessageId> SprayAndWaitRouter::next_to_send(
   } else {
     // Uncached path: unchanged from the pre-cache kernel (non-total
     // orderings like RandomPolicy must see the peer-filtered list).
-    const Buffer& buf = self.buffer();
-    const MessageArena& arena = buf.arena();
-    for (Buffer::Handle h : buf.handles()) {
-      if (ctx.now >= arena.expiry_of(h)) continue;  // == Message::expired
-      if (arena.copies_of(h) < 2) continue;         // wait phase
-      const Message& m = arena.get(h);
-      if (!cfg_.binary && m.source != self.id()) continue;  // source spray
+    for (const Message& m : self.buffer().messages()) {
+      if (m.expired(ctx.now) || !can_spray(m, self)) continue;
       if (!routing::peer_can_receive(peer, m)) continue;
       spray.push_back(&m);
     }

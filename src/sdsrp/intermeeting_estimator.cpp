@@ -27,7 +27,6 @@ void IntermeetingEstimator::on_contact_start(std::size_t peer, double now) {
     last_end_.erase(it);
   }
   last_seen_[peer] = now;
-  sync_hot();
 }
 
 void IntermeetingEstimator::on_contact_end(std::size_t peer, double now) {
@@ -43,26 +42,6 @@ void IntermeetingEstimator::on_contact_end(std::size_t peer, double now) {
     open_since_sum_ += now;
   }
   last_seen_[peer] = now;
-  sync_hot();
-}
-
-void IntermeetingEstimator::bind_hot(NodeHotState* hot, std::size_t id) {
-  hot_ = hot;
-  hot_id_ = id;
-  if (hot_ == nullptr) return;
-  hot_->imt_prior[hot_id_] = prior_mean_;
-  hot_->imt_min_samples[hot_id_] = min_samples_;
-  hot_->imt_naive[hot_id_] = mode_ == ImtEstimatorMode::kNaiveMean ? 1 : 0;
-  sync_hot();
-}
-
-void IntermeetingEstimator::sync_hot() {
-  if (hot_ == nullptr) return;
-  hot_->imt_events[hot_id_] = stats_.count();
-  hot_->imt_naive_mean[hot_id_] = stats_.mean();
-  hot_->imt_closed_exposure[hot_id_] = closed_exposure_;
-  hot_->imt_open_count[hot_id_] = open_count_;
-  hot_->imt_open_since_sum[hot_id_] = open_since_sum_;
 }
 
 double IntermeetingEstimator::mean_intermeeting(double now) const {
@@ -153,7 +132,6 @@ void IntermeetingEstimator::load_state(snapshot::ArchiveReader& in) {
               "intermeeting: open-interval count does not match open peers");
   read_map(in, last_seen_);
   in.end_section();
-  sync_hot();
 }
 
 }  // namespace dtn::sdsrp

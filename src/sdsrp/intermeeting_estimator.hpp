@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <unordered_map>
 
-#include "src/core/hot_state.hpp"
 #include "src/util/stats.hpp"
 
 namespace dtn::snapshot {
@@ -81,18 +80,7 @@ class IntermeetingEstimator {
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in);
 
-  /// Binds this estimator to row `id` of the World's SoA block: every
-  /// contact event (and every restore) writes the scalars that
-  /// hot_mean_intermeeting reads, so priority evaluation can stream
-  /// parallel arrays instead of chasing this object. The configuration
-  /// mirrors are written once here.
-  void bind_hot(NodeHotState* hot, std::size_t id);
-
  private:
-  void sync_hot();
-
-  NodeHotState* hot_ = nullptr;  ///< non-owning; nullptr = unmirrored
-  std::size_t hot_id_ = 0;
   double prior_mean_;
   std::size_t min_samples_;
   ImtEstimatorMode mode_;

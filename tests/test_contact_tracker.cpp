@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/net/contact_tracker.hpp"
+#include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 
@@ -154,6 +155,112 @@ TEST(ContactTracker, StationaryFleetSkipsEverySubsequentPass) {
   EXPECT_EQ(t.full_pass_count(), 1u);
   EXPECT_TRUE(t.in_contact(0, 1));
   EXPECT_FALSE(t.in_contact(0, 2));
+}
+
+// --- snapshot state ---
+
+using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+using WatchPairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+// A hand-built "contacts" section for a three-node fleet: the contact
+// pairs, then kinetic bookkeeping (slack 10 m, budget 5 m, the nodes'
+// last positions) and the watch pairs, each marked out of contact.
+std::vector<std::uint8_t> contacts_section(const Pairs& contacts,
+                                           const WatchPairs& watch) {
+  snapshot::ArchiveWriter w;
+  w.begin_section("contacts");
+  w.u64(contacts.size());
+  for (const auto& [a, b] : contacts) {
+    w.u64(a);
+    w.u64(b);
+  }
+  w.f64(10.0);
+  w.f64(5.0);
+  w.boolean(true);
+  const std::vector<Vec2> prev{{0, 0}, {5, 0}, {16, 0}};
+  w.u64(prev.size());
+  for (const Vec2& p : prev) {
+    w.f64(p.x);
+    w.f64(p.y);
+  }
+  w.u64(watch.size());
+  for (const auto& [i, j] : watch) {
+    w.u32(i);
+    w.u32(j);
+    w.boolean(false);
+  }
+  w.end_section();
+  return w.bytes();
+}
+
+void load(ContactTracker& t, const Pairs& contacts, const WatchPairs& watch) {
+  snapshot::ArchiveReader in(contacts_section(contacts, watch));
+  t.load_state(in, 3);
+}
+
+TEST(ContactTrackerState, LoadsAscendingPairsAndResavesTheSameBytes) {
+  const std::vector<std::uint8_t> bytes =
+      contacts_section({{0, 1}}, {{0, 2}, {1, 2}});
+  ContactTracker t(10.0);
+  snapshot::ArchiveReader in(bytes);
+  t.load_state(in, 3);
+  EXPECT_EQ(t.current(), (std::vector<NodePair>{{0, 1}}));
+  snapshot::ArchiveWriter resaved;
+  t.save_state(resaved);
+  EXPECT_EQ(resaved.bytes(), bytes);
+  // The restored budget covers a 1.5 m move, so the update skips the
+  // grid and rechecks the restored watch pairs: node 2 enters 1's range.
+  const ContactChurn& churn = t.update({{0, 0}, {5, 0}, {14.5, 0}});
+  EXPECT_EQ(t.full_pass_count(), 0u);
+  EXPECT_EQ(churn.went_up, (std::vector<NodePair>{{1, 2}}));
+  EXPECT_TRUE(churn.went_down.empty());
+}
+
+TEST(ContactTrackerState, RejectsContactNodeBeyondTheFleet) {
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {{0, 3}}, {}), PreconditionError);
+  EXPECT_THROW(load(t, {{0, 4'000'000'000}}, {}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsRepeatedContactPair) {
+  // Accepting it, the next full pass would report (0, 1) gone down while
+  // the nodes sit 5 m apart.
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {{0, 1}, {0, 1}}, {}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsContactPairsOutOfOrder) {
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {{1, 2}, {0, 1}}, {}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsContactPairNotFirstBelowSecond) {
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {{1, 0}}, {}), PreconditionError);
+  EXPECT_THROW(load(t, {{1, 1}}, {}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsWatchNodeBeyondTheFleet) {
+  // Accepting it, the next update would index positions out of range.
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {}, {{0, 3}}), PreconditionError);
+  EXPECT_THROW(load(t, {}, {{0, 4'000'000'000u}}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsRepeatedWatchPair) {
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {}, {{0, 2}, {0, 2}}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsWatchPairsOutOfOrder) {
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {}, {{1, 2}, {0, 2}}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsWatchPairNotFirstBelowSecond) {
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {}, {{2, 1}}), PreconditionError);
+  EXPECT_THROW(load(t, {}, {{2, 2}}), PreconditionError);
 }
 
 }  // namespace
