@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels:
 // spatial-grid contact detection (fixed area, and constant density up to
-// 100k nodes), priority evaluation (closed form vs Taylor), buffer
-// admission, dropped-list merge, checkpoint serialization, the checkpoint
-// hash and the state digest, SDSRP's per-message rating and candidate
-// selection on a paused Table II world, and a full world-step at paper
-// scale.
+// 100k nodes), the random-waypoint mobility pass at the same densities,
+// priority evaluation (closed form vs Taylor), buffer admission,
+// dropped-list merge, checkpoint serialization, the checkpoint hash and
+// the state digest, SDSRP's per-message rating and candidate selection on
+// a paused Table II world, and a full world-step at paper scale.
 //
 //   ./micro_kernel --benchmark_out=BENCH_micro_kernel.json
 #include <benchmark/benchmark.h>
@@ -89,6 +89,41 @@ void BM_SpatialGridConstDensity(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SpatialGridConstDensity)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The large world's other per-node pass: advance every random-waypoint
+/// model one 1 s step and sample its position, as World::advance_mobility
+/// does. build_world allocates the models (n nodes at Table II density,
+/// area scaled with n), so they are laid out as in a real run. Items are
+/// nodes.
+void BM_MobilityPassConstDensity(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  dtn::Scenario sc = dtn::Scenario::random_waypoint_paper();
+  const double scale = std::sqrt(static_cast<double>(n) /
+                                 static_cast<double>(sc.n_nodes));
+  sc.rwp.area = dtn::Rect::sized(sc.rwp.area.width() * scale,
+                                 sc.rwp.area.height() * scale);
+  sc.n_nodes = n;
+  const auto world = dtn::build_world(sc);
+  std::vector<dtn::MobilityModel*> models(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    models[i] = &world->node(static_cast<dtn::NodeId>(i)).mobility();
+  }
+  std::vector<dtn::Vec2> positions(n);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) {
+      models[i]->advance(1.0);
+      positions[i] = models[i]->position();
+    }
+    benchmark::DoNotOptimize(positions.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_MobilityPassConstDensity)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);

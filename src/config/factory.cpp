@@ -83,12 +83,21 @@ std::unique_ptr<World> build_world(const Scenario& sc) {
   // mobility passes stream through them instead of striding across
   // interleaved Node objects. That relies on the model constructors
   // allocating nothing of their own (true of all but the taxi fleet,
-  // which copies its hotspot list). The fork order (i + 1, node order)
-  // is unchanged, so every random stream and digest is too.
+  // which copies its hotspot list). Random-waypoint models share one
+  // config, allocated before them, rather than each carrying a copy. The
+  // fork order (i + 1, node order) is unchanged, so every random stream
+  // and digest is too.
+  std::shared_ptr<const RandomWaypointConfig> rwp;
+  if (sc.mobility == "random-waypoint") {
+    rwp = std::make_shared<const RandomWaypointConfig>(sc.rwp);
+  }
   std::vector<MobilityPtr> models;
   models.reserve(sc.n_nodes);
   for (std::size_t i = 0; i < sc.n_nodes; ++i) {
-    models.push_back(make_mobility(sc, master.fork(i + 1), i));
+    Rng rng = master.fork(i + 1);
+    models.push_back(rwp != nullptr
+                         ? std::make_unique<RandomWaypointModel>(rwp, rng)
+                         : make_mobility(sc, rng, i));
   }
   for (MobilityPtr& m : models) {
     world->add_node(std::move(m), sc.buffer_capacity, sc.estimator);

@@ -674,13 +674,15 @@ void World::start_transfers() {
 }
 
 void World::try_start(NodeId from_id, NodeId to_id) {
-  if (hot_.radio_busy[from_id] != 0 || hot_.radio_busy[to_id] != 0) return;
   // Routers choose from the sender's buffer by contract: an empty buffer
   // can never yield a candidate, so skip the router (and the memo) — the
   // dominant case in sparse large-N fleets. Buffer admission rejects
   // size == 0, so used == 0 ⟺ empty and the SoA occupancy answers it
-  // without touching the Node object.
+  // without touching the Node object. It is tested first: all three
+  // early returns are free of side effects, and this one nearly always
+  // decides alone, with one load instead of three.
   if (hot_.buffer_used[from_id] == 0) return;
+  if (hot_.radio_busy[from_id] != 0 || hot_.radio_busy[to_id] != 0) return;
   Node& from = node(from_id);
   Node& to = node(to_id);
   if (cfg_.priority_cache) {
@@ -971,6 +973,14 @@ void World::rebuild_event_queues() {
     t.seq = transfer_seq_++;
     DTN_REQUIRE(t.from < nodes_.size() && outgoing_[t.from] < 0,
                 "load_state: duplicate sender among in-flight transfers");
+    DTN_REQUIRE(t.to < nodes_.size() && t.to != t.from,
+                "load_state: in-flight transfer's receiver is not another "
+                "fleet node");
+    // Completion and abort both read the sender's copy and drop its pin.
+    const Node& from = *nodes_[t.from];
+    DTN_REQUIRE(from.buffer().has(t.msg) && from.is_pinned(t.msg),
+                "load_state: in-flight transfer's sender does not hold and "
+                "pin its message");
     outgoing_[t.from] = static_cast<std::int64_t>(i);
     if (!cfg_.legacy_step) {
       eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});

@@ -25,32 +25,33 @@ void SpatialGrid::set_cell(double cell) {
   DTN_REQUIRE(cell > 0.0, "SpatialGrid: cell size must be positive");
   if (cell == cell_) return;
   cell_ = cell;
-  rebuild_index();
-}
-
-void SpatialGrid::rebuild(const std::vector<Vec2>& positions) {
-  positions_ = positions;  // vector assign: reuses capacity, no realloc
-  rebuild_index();
+  // The content is held in slot order: scatter it back to node order.
+  std::vector<Vec2> positions(slots_.size());
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    positions[slots_[s]] = slot_pos_[s];
+  }
+  rebuild(positions);
 }
 
 void SpatialGrid::reserve_nodes(std::size_t n) {
-  positions_.reserve(n);
   slots_.reserve(n);
+  slot_pos_.reserve(n);
+  slot_row_.reserve(n);
   node_cell_.reserve(n);
+  run_start_.reserve(n + 1);
 }
 
-void SpatialGrid::rebuild_index() {
-  const std::size_t n = positions_.size();
+void SpatialGrid::rebuild(const std::vector<Vec2>& positions) {
+  const std::size_t n = positions.size();
   slots_.resize(n);
   node_cell_.resize(n);
   // Pass 1: fine cell per node + bounding box of occupied cells.
   std::int64_t min_cx = 0, max_cx = -1, min_cy = 0, max_cy = -1;
   for (std::size_t i = 0; i < n; ++i) {
-    const double fx = std::floor(positions_[i].x / cell_);
-    const double fy = std::floor(positions_[i].y / cell_);
+    const double fx = std::floor(positions[i].x / cell_);
+    const double fy = std::floor(positions[i].y / cell_);
     if (!fits_cell(fx) || !fits_cell(fy)) {
-      positions_.clear();  // leave a consistent, empty grid behind
-      rebuild_index();
+      rebuild({});  // leave a consistent, empty grid behind
       DTN_REQUIRE(false, "SpatialGrid: node " + std::to_string(i) +
                              " lies outside the 32-bit cell range");
     }
@@ -73,34 +74,41 @@ void SpatialGrid::rebuild_index() {
       kDenseCellsPerNode * static_cast<std::int64_t>(n), kMinDenseCells);
   // rows * cols <= budget, without overflow (cols >= 1 when n > 0).
   dense_ = n > 0 && rows <= budget / cols;
-  if (!dense_) {
+  if (dense_) {
+    min_cx_ = min_cx;
+    min_cy_ = min_cy;
+    cols_ = cols;
+    rows_ = rows;
+    const auto cells = static_cast<std::size_t>(cols * rows);
+    // Counting sort into slots. The per-cell counts become inclusive
+    // prefix sums (each cell's end) and serve as the fill cursors:
+    // scattering the nodes in reverse order moves every entry down to its
+    // cell's start and leaves each cell's nodes ascending.
+    cell_start_.assign(cells + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const CellKey k = node_cell_[i];
+      ++cell_start_[dense_index(unpack_cx(k), unpack_cy(k))];
+    }
+    for (std::size_t c = 1; c < cells; ++c) {
+      cell_start_[c] += cell_start_[c - 1];
+    }
+    cell_start_[cells] = static_cast<std::uint32_t>(n);
+    slot_row_.resize(n);
+    for (std::size_t i = n; i-- > 0;) {
+      const CellKey k = node_cell_[i];
+      const std::uint32_t s =
+          --cell_start_[dense_index(unpack_cx(k), unpack_cy(k))];
+      slots_[s] = static_cast<std::uint32_t>(i);
+      slot_row_[s] = static_cast<std::uint32_t>(unpack_cy(k) - min_cy);
+    }
+    cell_keys_.clear();
+  } else {
     rebuild_flat();
-    return;
   }
-  min_cx_ = min_cx;
-  min_cy_ = min_cy;
-  cols_ = cols;
-  rows_ = rows;
-  const auto cells = static_cast<std::size_t>(cols * rows);
-  // Counting sort into slots. The per-cell counts become inclusive prefix
-  // sums (each cell's end) and serve as the fill cursors: scattering the
-  // nodes in reverse order moves every entry down to its cell's start and
-  // leaves each cell's nodes ascending.
-  cell_start_.assign(cells + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const CellKey k = node_cell_[i];
-    ++cell_start_[dense_index(unpack_cx(k), unpack_cy(k))];
-  }
-  for (std::size_t c = 1; c < cells; ++c) {
-    cell_start_[c] += cell_start_[c - 1];
-  }
-  cell_start_[cells] = static_cast<std::uint32_t>(n);
-  for (std::size_t i = n; i-- > 0;) {
-    const CellKey k = node_cell_[i];
-    slots_[--cell_start_[dense_index(unpack_cx(k), unpack_cy(k))]] =
-        static_cast<std::uint32_t>(i);
-  }
-  cell_keys_.clear();
+  // Gather the positions into slot order, so the pair walk reads each
+  // cell's nodes, and its neighbor cells', from contiguous memory.
+  slot_pos_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) slot_pos_[s] = positions[slots_[s]];
 }
 
 void SpatialGrid::rebuild_flat() {
@@ -130,9 +138,8 @@ std::size_t SpatialGrid::find_cell(CellKey k) const {
   return static_cast<std::size_t>(it - cell_keys_.begin());
 }
 
-void SpatialGrid::cell_span(std::int64_t cx, std::int64_t cy,
-                            std::uint32_t* lo, std::uint32_t* hi) const {
-  *lo = *hi = 0;
+SpatialGrid::SlotRange SpatialGrid::cell_span(std::int64_t cx,
+                                              std::int64_t cy) const {
   std::size_t c = SIZE_MAX;
   if (dense_) {
     if (cx >= min_cx_ && cx < min_cx_ + cols_ && cy >= min_cy_ &&
@@ -142,9 +149,8 @@ void SpatialGrid::cell_span(std::int64_t cx, std::int64_t cy,
   } else {
     c = find_cell(key(cx, cy));
   }
-  if (c == SIZE_MAX) return;
-  *lo = cell_start_[c];
-  *hi = cell_start_[c + 1];
+  if (c == SIZE_MAX) return {};
+  return {cell_start_[c], cell_start_[c + 1]};
 }
 
 void SpatialGrid::for_each_pair_within(
@@ -158,7 +164,7 @@ void SpatialGrid::for_each_pair_within(
     double radius,
     const std::function<void(std::size_t, std::size_t, double)>& fn) const {
   pair_scratch_.clear();
-  collect_pairs_within(radius, 0, positions_.size(), pair_scratch_);
+  collect_pairs_within(radius, 0, size(), pair_scratch_);
   for (const PairHit& h : pair_scratch_) fn(h.i, h.j, h.d2);
 }
 
@@ -167,53 +173,86 @@ void SpatialGrid::collect_pairs_within(double radius, std::size_t begin,
                                        std::vector<PairHit>& out) const {
   DTN_REQUIRE(radius <= cell_ + 1e-9,
               "SpatialGrid: query radius exceeds cell size");
+  end = std::min(end, slots_.size());
+  if (begin >= end) return;
   const double r2 = radius * radius;
-  const std::size_t first = out.size();
-  // Collect candidate pairs, then sort so the emitted order does not
-  // depend on bucket layout (determinism across layouts and libstdc++s).
-  for (std::size_t i = begin; i < end && i < positions_.size(); ++i) {
-    const Vec2 p = positions_[i];
-    const CellKey k = node_cell_[i];
-    const std::int64_t cx = unpack_cx(k);
-    const std::int64_t cy = unpack_cy(k);
-    const auto scan = [&](std::uint32_t lo, std::uint32_t hi) {
-      for (std::uint32_t s = lo; s < hi; ++s) {
-        const std::size_t j = slots_[s];
-        if (j <= i) continue;
-        const double d2 = distance2(p, positions_[j]);
-        if (d2 <= r2) {
-          out.push_back(PairHit{static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(j), d2});
+  // Measures slot a against slots [lo, hi). A pair is emitted as (min id,
+  // max id): IEEE subtraction is sign-symmetric, so d2 has the same bits
+  // whichever end is the reference point.
+  walk_.clear();
+  const auto pair_slot = [&](std::uint32_t a, std::uint32_t lo,
+                             std::uint32_t hi) {
+    const Vec2 p = slot_pos_[a];
+    const std::uint32_t ia = slots_[a];
+    for (std::uint32_t b = lo; b < hi; ++b) {
+      const double d2 = distance2(p, slot_pos_[b]);
+      if (d2 <= r2) {
+        const std::uint32_t ib = slots_[b];
+        const std::uint32_t i = std::min(ia, ib);
+        if (i >= begin && i < end) walk_.push_back({i, std::max(ia, ib), d2});
+      }
+    }
+  };
+  // Each node is paired with the rest of its own cell and with its
+  // cell's forward half stencil, (x, y+1) and (x+1, y-1..y+1); the
+  // backward half is some other cell's forward half, so each pair within
+  // reach is measured exactly once.
+  if (dense_) {
+    // Column-major: (x, y+1) is the next directory entry, so the rest of
+    // the node's cell and (x, y+1) form one slot range, and the cells
+    // (x+1, y-1..y+1) are adjacent entries one column on. Both ranges are
+    // clipped to the box; slot_row_ gives y, so empty cells cost nothing.
+    const auto rows = static_cast<std::size_t>(rows_);
+    const auto cols = static_cast<std::size_t>(cols_);
+    for (std::size_t x = 0; x < cols; ++x) {
+      const std::size_t base = x * rows;
+      const std::uint32_t column_end = cell_start_[base + rows];
+      for (std::uint32_t a = cell_start_[base]; a < column_end; ++a) {
+        const std::size_t y = slot_row_[a];
+        const std::size_t c = base + y;
+        const std::size_t below = y > 0 ? 1 : 0;
+        const std::size_t above = y + 1 < rows ? 1 : 0;
+        pair_slot(a, a + 1, cell_start_[c + 1 + above]);
+        if (x + 1 < cols) {
+          pair_slot(a, cell_start_[c + rows - below],
+                    cell_start_[c + rows + 1 + above]);
         }
       }
-    };
-    if (dense_) {
-      // The cells (x, cy-1..cy+1) of one stencil column are adjacent in
-      // the column-major directory: one slot range per column, clipped to
-      // the box (the node's own cell is always inside it).
-      const std::int64_t x0 = std::max(cx - 1, min_cx_);
-      const std::int64_t x1 = std::min(cx + 1, min_cx_ + cols_ - 1);
-      const std::int64_t y0 = std::max(cy - 1, min_cy_);
-      const std::int64_t y1 = std::min(cy + 1, min_cy_ + rows_ - 1);
-      for (std::int64_t x = x0; x <= x1; ++x) {
-        scan(cell_start_[dense_index(x, y0)],
-             cell_start_[dense_index(x, y1) + 1]);
-      }
-      continue;
     }
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        std::uint32_t lo = 0, hi = 0;
-        cell_span(cx + dx, cy + dy, &lo, &hi);
-        scan(lo, hi);
+  } else {
+    for (std::size_t k = 0; k < cell_keys_.size(); ++k) {
+      const std::int64_t cx = unpack_cx(cell_keys_[k]);
+      const std::int64_t cy = unpack_cy(cell_keys_[k]);
+      const SlotRange forward[4] = {cell_span(cx, cy + 1),
+                                    cell_span(cx + 1, cy - 1),
+                                    cell_span(cx + 1, cy),
+                                    cell_span(cx + 1, cy + 1)};
+      const std::uint32_t hi = cell_start_[k + 1];
+      for (std::uint32_t a = cell_start_[k]; a < hi; ++a) {
+        pair_slot(a, a + 1, hi);
+        for (const SlotRange& r : forward) pair_slot(a, r.lo, r.hi);
       }
     }
   }
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-            [](const PairHit& a, const PairHit& b) {
-              if (a.i != b.i) return a.i < b.i;
-              return a.j < b.j;
-            });
+  // A counting sort on i, then an insertion sort on j within each i's run
+  // (a handful of pairs), restores (i, j) order with no comparison sort.
+  run_start_.assign(end - begin + 1, 0);
+  for (const PairHit& h : walk_) ++run_start_[h.i - begin + 1];
+  for (std::size_t k = 1; k < run_start_.size(); ++k) {
+    run_start_[k] += run_start_[k - 1];
+  }
+  const std::size_t first = out.size();
+  out.resize(first + walk_.size());
+  PairHit* const sorted = out.data() + first;
+  for (const PairHit& h : walk_) sorted[run_start_[h.i - begin]++] = h;
+  for (std::size_t k = 1; k < walk_.size(); ++k) {
+    const PairHit h = sorted[k];
+    std::size_t m = k;
+    for (; m > 0 && sorted[m - 1].i == h.i && sorted[m - 1].j > h.j; --m) {
+      sorted[m] = sorted[m - 1];
+    }
+    sorted[m] = h;
+  }
 }
 
 std::vector<std::size_t> SpatialGrid::query(Vec2 p, double radius,
@@ -229,12 +268,11 @@ std::vector<std::size_t> SpatialGrid::query(Vec2 p, double radius,
   const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_));
   for (std::int64_t dx = -reach; dx <= reach; ++dx) {
     for (std::int64_t dy = -reach; dy <= reach; ++dy) {
-      std::uint32_t lo = 0, hi = 0;
-      cell_span(cx + dx, cy + dy, &lo, &hi);
-      for (std::uint32_t s = lo; s < hi; ++s) {
+      const SlotRange r = cell_span(cx + dx, cy + dy);
+      for (std::uint32_t s = r.lo; s < r.hi; ++s) {
         const std::size_t j = slots_[s];
         if (j == exclude) continue;
-        if (distance2(p, positions_[j]) <= r2) out.push_back(j);
+        if (distance2(p, slot_pos_[s]) <= r2) out.push_back(j);
       }
     }
   }

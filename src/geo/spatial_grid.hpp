@@ -8,19 +8,23 @@
 //     size `cell` over the bounding box of occupied cells, column-major
 //     (x-major, y-minor). A rebuild is a counting sort of node ids into
 //     slots — O(n + cells), no comparison sort — that leaves each cell's
-//     nodes ascending. The three cells of one column of a node's 3x3
-//     stencil are adjacent in the directory and so form one contiguous
-//     slot range: a node's neighborhood is three pairs of directory
-//     reads, with no search.
+//     nodes ascending.
 //   * flat (fallback): a global (cell, node)-sorted slot array with a
 //     binary-searched sparse directory, used when the bounding box holds
 //     more than max(16 n, 65,536) cells (positions spread far apart).
 //
-// Both layouts fill the same reused buffers, so a steady-state rebuild
-// performs no heap allocation, and every query sorts its output by
-// (i, j) — enumeration order is identical across layouts. Each cell
-// coordinate must fit in 32 bits; rebuild rejects a position outside
-// that range with PreconditionError.
+// A rebuild also gathers the positions into slot order. Pair enumeration
+// is one walk over the slots in order, for both layouts: each node is
+// paired with the rest of its cell and with its cell's forward half
+// stencil, (x, y+1) and (x+1, y-1..y+1), so every pair is measured once
+// and every read is at or just ahead of the walk. In the dense layout
+// those cells are two slot ranges: (x, y+1) follows the cell itself, and
+// the three cells of column x+1 are adjacent. A counting sort on i then
+// restores (i, j) order, so the output is the same whatever the layout.
+//
+// Every buffer is reused, so a steady-state rebuild and pair pass perform
+// no heap allocation. Each cell coordinate must fit in 32 bits; rebuild
+// rejects a position outside that range with PreconditionError.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +70,10 @@ class SpatialGrid {
 
   /// Appends every pair (i, j) with i in [begin, end), j > i (over the
   /// whole grid) and distance(pi, pj) <= radius to `out`, sorted by
-  /// (i, j). Touches no shared scratch, so disjoint index ranges may run
-  /// on different threads concurrently; concatenating the outputs of an
-  /// ascending shard partition reproduces the full-range enumeration
-  /// order exactly (shards are contiguous in i and locally sorted).
+  /// (i, j); each d2 is distance2(pi, pj) bit for bit. [begin, end)
+  /// filters the full walk, so concatenating the outputs of an ascending
+  /// partition reproduces the full-range output exactly. Uses the grid's
+  /// scratch: calls on one grid must not overlap.
   void collect_pairs_within(double radius, std::size_t begin, std::size_t end,
                             std::vector<PairHit>& out) const;
 
@@ -77,7 +81,7 @@ class SpatialGrid {
   std::vector<std::size_t> query(Vec2 p, double radius,
                                  std::size_t exclude = SIZE_MAX) const;
 
-  std::size_t size() const { return positions_.size(); }
+  std::size_t size() const { return slots_.size(); }
 
   /// True while the last rebuild used the dense layout.
   bool dense() const { return dense_; }
@@ -112,23 +116,27 @@ class SpatialGrid {
   std::size_t dense_index(std::int64_t cx, std::int64_t cy) const {
     return static_cast<std::size_t>((cx - min_cx_) * rows_ + (cy - min_cy_));
   }
-  void rebuild_index();
+  /// Slots [lo, hi).
+  struct SlotRange {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
   void rebuild_flat();
   /// Index into cell_keys_ for `k`, or npos (flat layout).
   std::size_t find_cell(CellKey k) const;
-  /// Slot range [lo, hi) of fine cell (cx, cy), empty when absent.
-  /// Dispatches on the active layout.
-  void cell_span(std::int64_t cx, std::int64_t cy, std::uint32_t* lo,
-                 std::uint32_t* hi) const;
+  /// Slot range of fine cell (cx, cy), empty when absent. Dispatches on
+  /// the active layout.
+  SlotRange cell_span(std::int64_t cx, std::int64_t cy) const;
 
   double cell_;
-  std::vector<Vec2> positions_;
   std::vector<CellKey> node_cell_;  ///< per-node fine cell key
   std::vector<std::uint32_t> slots_;  ///< node ids in (cell, node) order
+  std::vector<Vec2> slot_pos_;        ///< slot_pos_[s] = position of slots_[s]
   /// Cell c holds slots [cell_start_[c], cell_start_[c + 1]). Dense: c is
   /// the box index, size cells + 1. Flat: c indexes cell_keys_.
   std::vector<std::uint32_t> cell_start_;
   // --- dense layout: the box of occupied fine cells ---
+  std::vector<std::uint32_t> slot_row_;  ///< box row of each slot's cell
   bool dense_ = false;
   std::int64_t min_cx_ = 0;
   std::int64_t min_cy_ = 0;
@@ -136,7 +144,10 @@ class SpatialGrid {
   std::int64_t rows_ = 0;
   // --- flat layout ---
   std::vector<CellKey> cell_keys_;  ///< distinct cells, ascending
-  mutable std::vector<PairHit> pair_scratch_;
+  // --- pair-pass scratch ---
+  mutable std::vector<PairHit> walk_;             ///< hits in walk order
+  mutable std::vector<std::uint32_t> run_start_;  ///< counting-sort cursors
+  mutable std::vector<PairHit> pair_scratch_;     ///< for_each_pair_within
 };
 
 }  // namespace dtn

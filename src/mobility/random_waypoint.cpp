@@ -1,5 +1,7 @@
 #include "src/mobility/random_waypoint.hpp"
 
+#include <utility>
+
 #include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
 
@@ -7,19 +9,25 @@ namespace dtn {
 
 RandomWaypointModel::RandomWaypointModel(const RandomWaypointConfig& cfg,
                                          Rng rng)
-    : cfg_(cfg), rng_(rng) {
-  DTN_REQUIRE(cfg.v_min > 0.0 && cfg.v_max >= cfg.v_min,
+    : RandomWaypointModel(std::make_shared<const RandomWaypointConfig>(cfg),
+                          rng) {}
+
+RandomWaypointModel::RandomWaypointModel(
+    std::shared_ptr<const RandomWaypointConfig> cfg, Rng rng)
+    : rng_(rng), cfg_(std::move(cfg)) {
+  DTN_REQUIRE(cfg_ != nullptr, "random-waypoint: no config");
+  DTN_REQUIRE(cfg_->v_min > 0.0 && cfg_->v_max >= cfg_->v_min,
               "random-waypoint: bad speed range");
-  DTN_REQUIRE(cfg.pause_min >= 0.0 && cfg.pause_max >= cfg.pause_min,
+  DTN_REQUIRE(cfg_->pause_min >= 0.0 && cfg_->pause_max >= cfg_->pause_min,
               "random-waypoint: bad pause range");
-  pos_ = cfg_.area.sample(rng_);
+  pos_ = cfg_->area.sample(rng_);
   start_new_trip();
 }
 
 void RandomWaypointModel::start_new_trip() {
-  dest_ = cfg_.area.sample(rng_);
-  speed_ = rng_.uniform(cfg_.v_min, cfg_.v_max);
-  if (speed_ <= 0.0) speed_ = cfg_.v_min;
+  dest_ = cfg_->area.sample(rng_);
+  speed_ = rng_.uniform(cfg_->v_min, cfg_->v_max);
+  if (speed_ <= 0.0) speed_ = cfg_->v_min;
 }
 
 void RandomWaypointModel::advance(double dt) {
@@ -45,7 +53,7 @@ void RandomWaypointModel::advance(double dt) {
     // Reach the waypoint, consume the travel time, pause, pick the next.
     pos_ = dest_;
     dt -= (speed_ > 0.0) ? dist / speed_ : dt;
-    pause_left_ = rng_.uniform(cfg_.pause_min, cfg_.pause_max);
+    pause_left_ = rng_.uniform(cfg_->pause_min, cfg_->pause_max);
     start_new_trip();
   }
 }

@@ -4,6 +4,8 @@
 // from [pause_min, pause_max], repeat.
 #pragma once
 
+#include <memory>
+
 #include "src/geo/rect.hpp"
 #include "src/mobility/mobility_model.hpp"
 #include "src/util/rng.hpp"
@@ -20,12 +22,17 @@ struct RandomWaypointConfig {
 
 class RandomWaypointModel final : public MobilityModel {
  public:
+  /// A model on its own copy of `cfg`.
   RandomWaypointModel(const RandomWaypointConfig& cfg, Rng rng);
+  /// A model on a config shared with the rest of its fleet (build_world):
+  /// one copy of the constant instead of one per model, and no allocation.
+  RandomWaypointModel(std::shared_ptr<const RandomWaypointConfig> cfg,
+                      Rng rng);
 
   void advance(double dt) override;
   Vec2 position() const override { return pos_; }
   const char* name() const override { return "random-waypoint"; }
-  double max_speed() const override { return cfg_.v_max; }
+  double max_speed() const override { return cfg_->v_max; }
 
   void save_state(snapshot::ArchiveWriter& out) const override;
   void load_state(snapshot::ArchiveReader& in) override;
@@ -33,12 +40,14 @@ class RandomWaypointModel final : public MobilityModel {
  private:
   void start_new_trip();
 
-  RandomWaypointConfig cfg_;
-  Rng rng_;
+  // The kinematic fields come first: a step that does not reach its
+  // waypoint reads only them and the vtable pointer, 56 bytes.
   Vec2 pos_;
   Vec2 dest_;
   double speed_ = 0.0;
   double pause_left_ = 0.0;
+  Rng rng_;
+  std::shared_ptr<const RandomWaypointConfig> cfg_;
 };
 
 }  // namespace dtn

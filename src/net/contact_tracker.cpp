@@ -41,18 +41,21 @@ const ContactChurn& ContactTracker::update(const std::vector<Vec2>& positions) {
   if (wants_displacement(positions.size())) {
     // No pairwise distance can change by more than twice the largest
     // single-node displacement. Charging the *observed* displacement (not
-    // the advertised bound) keeps skipping correct under teleports.
+    // the advertised bound) keeps skipping correct under teleports. The
+    // same loop moves prev_ on to the new positions.
     double max_d2 = 0.0;
     for (std::size_t i = 0; i < positions.size(); ++i) {
       max_d2 = std::max(max_d2, distance2(prev_[i], positions[i]));
+      prev_[i] = positions[i];
     }
     const double spent = 2.0 * std::sqrt(max_d2);
     if (spent + kBudgetEps <= budget_) {
       budget_ -= spent;
       skip = true;  // only watch pairs can have changed status
     }
+  } else {
+    prev_ = positions;
   }
-  prev_ = positions;
   have_prev_ = true;
   if (skip) {
     recheck_watch(positions);
@@ -204,6 +207,11 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in,
                       std::tie(watch_.back().i, watch_.back().j) <
                           std::tie(wp.i, wp.j),
                   "contacts: watch pairs repeated or out of order");
+      // A saved stream always flags a watch pair in contact iff it is a
+      // contact pair; a flag that disagrees would make the next skip step
+      // report churn that never happened.
+      DTN_REQUIRE(wp.in_contact == in_contact(wp.i, wp.j),
+                  "contacts: watch pair's flag disagrees with the contacts");
       watch_.push_back(wp);
     }
   } else {

@@ -106,7 +106,8 @@ class ContactTracker {
   /// only in buffered checkpoints so a restored run skips the same steps
   /// an uninterrupted one does. `load_state` throws PreconditionError
   /// unless every contact and watch pair names two node ids below
-  /// `n_nodes`, first below second, and each list is strictly ascending.
+  /// `n_nodes`, first below second, each list is strictly ascending, and
+  /// each watch pair is flagged in contact iff it is a contact pair.
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in, std::size_t n_nodes);
 

@@ -160,11 +160,16 @@ TEST(ContactTracker, StationaryFleetSkipsEverySubsequentPass) {
 // --- snapshot state ---
 
 using Pairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-using WatchPairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+struct Watch {
+  std::uint32_t i = 0;
+  std::uint32_t j = 0;
+  bool in_contact = false;
+};
+using WatchPairs = std::vector<Watch>;
 
 // A hand-built "contacts" section for a three-node fleet: the contact
 // pairs, then kinetic bookkeeping (slack 10 m, budget 5 m, the nodes'
-// last positions) and the watch pairs, each marked out of contact.
+// last positions) and the watch pairs with their contact flags.
 std::vector<std::uint8_t> contacts_section(const Pairs& contacts,
                                            const WatchPairs& watch) {
   snapshot::ArchiveWriter w;
@@ -184,10 +189,10 @@ std::vector<std::uint8_t> contacts_section(const Pairs& contacts,
     w.f64(p.y);
   }
   w.u64(watch.size());
-  for (const auto& [i, j] : watch) {
-    w.u32(i);
-    w.u32(j);
-    w.boolean(false);
+  for (const Watch& wp : watch) {
+    w.u32(wp.i);
+    w.u32(wp.j);
+    w.boolean(wp.in_contact);
   }
   w.end_section();
   return w.bytes();
@@ -200,7 +205,7 @@ void load(ContactTracker& t, const Pairs& contacts, const WatchPairs& watch) {
 
 TEST(ContactTrackerState, LoadsAscendingPairsAndResavesTheSameBytes) {
   const std::vector<std::uint8_t> bytes =
-      contacts_section({{0, 1}}, {{0, 2}, {1, 2}});
+      contacts_section({{0, 1}}, {{0, 1, true}, {0, 2}, {1, 2}});
   ContactTracker t(10.0);
   snapshot::ArchiveReader in(bytes);
   t.load_state(in, 3);
@@ -261,6 +266,15 @@ TEST(ContactTrackerState, RejectsWatchPairNotFirstBelowSecond) {
   ContactTracker t(10.0);
   EXPECT_THROW(load(t, {}, {{2, 1}}), PreconditionError);
   EXPECT_THROW(load(t, {}, {{2, 2}}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsWatchFlagDisagreeingWithTheContacts) {
+  // Accepting (1, 2) flagged in contact with no contact pairs, the next
+  // skip step would report (1, 2) gone down although it never came up.
+  ContactTracker t(10.0);
+  EXPECT_THROW(load(t, {}, {{1, 2, true}}), PreconditionError);
+  // And a contact pair watched as out of contact would come up again.
+  EXPECT_THROW(load(t, {{0, 1}}, {{0, 1, false}}), PreconditionError);
 }
 
 }  // namespace

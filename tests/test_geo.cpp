@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
@@ -203,23 +204,40 @@ TEST(SpatialGrid, NegativeCoordinatesMatchBruteForce) {
   EXPECT_EQ(from_grid, brute_pairs(pos, radius));
 }
 
+// The pair walk may measure a pair from either end; the d2 it reports
+// must still be distance2(pos[i], pos[j]) bit for bit.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 TEST(SpatialGrid, DistanceReportingOverloadMatchesBruteForce) {
+  // A random cloud, the same cloud with every tenth node doubled by a
+  // later id at its exact position, and the smallest fleets: none, one
+  // node, two in range, two coincident and two out of range.
   Rng rng(13);
-  std::vector<Vec2> pos;
+  std::vector<Vec2> cloud;
   for (int i = 0; i < 120; ++i) {
-    pos.push_back({rng.uniform(-200, 400), rng.uniform(-300, 100)});
+    cloud.push_back({rng.uniform(-200, 400), rng.uniform(-300, 100)});
   }
+  std::vector<Vec2> doubled = cloud;
+  for (std::size_t i = 0; i < cloud.size(); i += 10) doubled.push_back(cloud[i]);
+  const std::vector<std::vector<Vec2>> fleets = {
+      cloud,  doubled, {}, {{3, 4}}, {{0, 0}, {30, 20}}, {{7, 7}, {7, 7}},
+      {{0, 0}, {100, 0}}};
   const double radius = 45.0;
-  SpatialGrid grid(radius);
-  grid.rebuild(pos);
-  std::set<std::pair<std::size_t, std::size_t>> from_grid;
-  grid.for_each_pair_within(
-      radius, [&](std::size_t i, std::size_t j, double d2) {
-        EXPECT_DOUBLE_EQ(d2, distance2(pos[i], pos[j]));
-        EXPECT_LE(d2, radius * radius);
-        from_grid.emplace(i, j);
-      });
-  EXPECT_EQ(from_grid, brute_pairs(pos, radius));
+  for (const std::vector<Vec2>& pos : fleets) {
+    SpatialGrid grid(radius);
+    grid.rebuild(pos);
+    std::set<std::pair<std::size_t, std::size_t>> from_grid;
+    grid.for_each_pair_within(
+        radius, [&](std::size_t i, std::size_t j, double d2) {
+          EXPECT_TRUE(same_bits(d2, distance2(pos[i], pos[j])))
+              << "pair (" << i << ", " << j << ")";
+          EXPECT_LE(d2, radius * radius);
+          from_grid.emplace(i, j);
+        });
+    EXPECT_EQ(from_grid, brute_pairs(pos, radius)) << pos.size() << " nodes";
+  }
 }
 
 TEST(SpatialGrid, RebuildReusesCapacityAcrossFrames) {
@@ -490,10 +508,13 @@ TEST(SpatialGridDense, TableIIDensityAtScaleMatchesBruteForce) {
   EXPECT_TRUE(grid.dense());
   std::set<std::pair<std::size_t, std::size_t>> from_grid;
   std::vector<std::pair<std::size_t, std::size_t>> order;
-  grid.for_each_pair_within(cell, [&](std::size_t i, std::size_t j) {
-    from_grid.emplace(i, j);
-    order.emplace_back(i, j);
-  });
+  grid.for_each_pair_within(
+      cell, [&](std::size_t i, std::size_t j, double d2) {
+        EXPECT_TRUE(same_bits(d2, distance2(pos[i], pos[j])))
+            << "pair (" << i << ", " << j << ")";
+        from_grid.emplace(i, j);
+        order.emplace_back(i, j);
+      });
   EXPECT_EQ(from_grid, brute_pairs(pos, cell));
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
   // About 0.55 neighbors per node at this density: ~800 pairs.

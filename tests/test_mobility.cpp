@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "src/mobility/random_direction.hpp"
 #include "src/mobility/random_walk.hpp"
@@ -10,6 +11,7 @@
 #include "src/mobility/stationary.hpp"
 #include "src/mobility/taxi_fleet.hpp"
 #include "src/mobility/trace_replay.hpp"
+#include "src/snapshot/archive.hpp"
 
 namespace dtn {
 namespace {
@@ -80,6 +82,33 @@ TEST(RandomWaypoint, DeterministicGivenSeed) {
     b.advance(1.0);
     EXPECT_EQ(a.position(), b.position());
   }
+  // A model on a config shared with other models (as build_world builds
+  // them) behaves like one on its own copy: same trace, same state bytes.
+  RandomWaypointConfig paused;
+  paused.area = Rect::sized(300.0, 200.0);
+  paused.v_min = 1.0;
+  paused.v_max = 5.0;
+  paused.pause_min = 2.0;
+  paused.pause_max = 30.0;
+  const auto shared = std::make_shared<const RandomWaypointConfig>(paused);
+  RandomWaypointModel sibling(shared, Rng(8));
+  RandomWaypointModel on_shared(shared, Rng(9));
+  RandomWaypointModel on_copy(paused, Rng(9));
+  int paused_steps = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const Vec2 before = on_copy.position();
+    sibling.advance(1.0);
+    on_shared.advance(1.0);
+    on_copy.advance(1.0);
+    ASSERT_EQ(on_shared.position(), on_copy.position()) << "step " << i;
+    if (on_copy.position() == before) ++paused_steps;
+  }
+  EXPECT_GT(paused_steps, 1000);  // the pauses were exercised
+  snapshot::ArchiveWriter from_shared;
+  on_shared.save_state(from_shared);
+  snapshot::ArchiveWriter from_copy;
+  on_copy.save_state(from_copy);
+  EXPECT_EQ(from_shared.bytes(), from_copy.bytes());
 }
 
 TEST(RandomWaypoint, RejectsBadConfig) {

@@ -466,12 +466,14 @@ std::vector<std::uint8_t> payload_of(const std::string& path) {
   return {file.begin() + kFileHeaderBytes, file.end() - 8};
 }
 
-// Overwrites the u64 whose tag byte is at payload offset `at` and
-// re-hashes the trailer, so the file still passes every framing check.
-void patch_u64(const std::string& path, std::size_t at, std::uint64_t v) {
+// Overwrites the `width`-byte value whose tag byte `tag` is at payload
+// offset `at` and re-hashes the trailer, so the file still passes every
+// framing check.
+void patch_value(const std::string& path, std::size_t at, std::uint8_t tag,
+                 std::uint64_t v, int width) {
   std::vector<std::uint8_t> payload = payload_of(path);
-  ASSERT_EQ(payload.at(at), 0x03) << "not a u64 tag";
-  const std::vector<std::uint8_t> value = tagged(0x03, v, 8);
+  ASSERT_EQ(payload.at(at), tag) << "not the expected tag";
+  const std::vector<std::uint8_t> value = tagged(tag, v, width);
   std::copy(value.begin(), value.end(), payload.begin() + at);
   snapshot::Fnv1a h;
   h.update(payload.data(), payload.size());
@@ -481,6 +483,14 @@ void patch_u64(const std::string& path, std::size_t at, std::uint64_t v) {
   f.write(reinterpret_cast<const char*>(payload.data()),
           static_cast<std::streamsize>(payload.size()));
   f.write(reinterpret_cast<const char*>(trailer.data()), 8);
+}
+
+void patch_u64(const std::string& path, std::size_t at, std::uint64_t v) {
+  patch_value(path, at, 0x03, v, 8);
+}
+
+void patch_u32(const std::string& path, std::size_t at, std::uint32_t v) {
+  patch_value(path, at, 0x02, v, 4);
 }
 
 // A checkpoint of the small RWP world taken while a transfer is in flight.
@@ -512,33 +522,84 @@ TEST(CorruptCheckpoint, HugeArenaHintThrowsPreconditionError) {
   std::remove(path.c_str());
 }
 
-TEST(CorruptCheckpoint, HugeTransferCountThrowsPreconditionError) {
-  std::unique_ptr<World> world;
-  const std::string path =
-      checkpoint_with_transfer("huge_transfers.ckpt", &world);
-  // The transfer count follows the contact tracker's section end and
-  // precedes the transfers, saved in sender order.
-  const std::vector<Transfer>& transfers = world->transfers_in_flight();
-  const Transfer& first = *std::min_element(
+// The in-flight transfer that a checkpoint saves first (transfers are
+// saved in sender order).
+Transfer first_saved_transfer(const World& world) {
+  const std::vector<Transfer>& transfers = world.transfers_in_flight();
+  return *std::min_element(
       transfers.begin(), transfers.end(),
       [](const Transfer& a, const Transfer& b) { return a.from < b.from; });
+}
+
+// Payload offset of the transfer count's tag byte. The count follows the
+// contact tracker's section end and precedes the transfers: the first
+// one's from (u32) at +9, to (u32) at +14 and msg (u64) at +19.
+std::size_t transfer_count_at(const std::string& path, const World& world) {
+  const Transfer first = first_saved_transfer(world);
   std::vector<std::uint8_t> pattern = {0x09};
   for (const std::vector<std::uint8_t>& part :
-       {tagged(0x03, transfers.size(), 8), tagged(0x02, first.from, 4),
-        tagged(0x02, first.to, 4), tagged(0x03, first.msg, 8)}) {
+       {tagged(0x03, world.transfers_in_flight().size(), 8),
+        tagged(0x02, first.from, 4), tagged(0x02, first.to, 4),
+        tagged(0x03, first.msg, 8)}) {
     pattern.insert(pattern.end(), part.begin(), part.end());
   }
   const std::vector<std::uint8_t> payload = payload_of(path);
   const auto found = std::search(payload.begin(), payload.end(),
                                  pattern.begin(), pattern.end());
-  ASSERT_NE(found, payload.end());
-  ASSERT_EQ(std::search(found + 1, payload.end(), pattern.begin(),
+  EXPECT_NE(found, payload.end());
+  EXPECT_EQ(std::search(found + 1, payload.end(), pattern.begin(),
                         pattern.end()),
             payload.end());
-  patch_u64(path, static_cast<std::size_t>(found - payload.begin()) + 1,
-            std::uint64_t{1} << 40);
+  return static_cast<std::size_t>(found - payload.begin()) + 1;
+}
+
+constexpr std::size_t kFirstTransferTo = 14;
+constexpr std::size_t kFirstTransferMsg = 19;
+
+TEST(CorruptCheckpoint, HugeTransferCountThrowsPreconditionError) {
+  std::unique_ptr<World> world;
+  const std::string path =
+      checkpoint_with_transfer("huge_transfers.ckpt", &world);
+  patch_u64(path, transfer_count_at(path, *world), std::uint64_t{1} << 40);
   EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError);
   std::remove(path.c_str());
+}
+
+TEST(CorruptCheckpoint, TransferReceiverNotAnotherFleetNodeThrows) {
+  // Restoring these used to succeed; the run then threw "node id out of
+  // range" at the step that completed or aborted the transfer.
+  for (int which = 0; which < 3; ++which) {
+    std::unique_ptr<World> world;
+    const std::string path = checkpoint_with_transfer("bad_to.ckpt", &world);
+    const auto n = static_cast<std::uint32_t>(world->node_count());
+    const std::uint32_t to[] = {n, 4'000'000'000u,
+                                first_saved_transfer(*world).from};
+    patch_u32(path, transfer_count_at(path, *world) + kFirstTransferTo,
+              to[which]);
+    EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError)
+        << "to = " << to[which];
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CorruptCheckpoint, TransferOfAMessageTheSenderDoesNotPinThrows) {
+  // A message the sender holds but has not pinned, and one it lacks.
+  for (int which = 0; which < 2; ++which) {
+    std::unique_ptr<World> world;
+    const std::string path = checkpoint_with_transfer("bad_msg.ckpt", &world);
+    const Transfer first = first_saved_transfer(*world);
+    std::optional<MessageId> unpinned;
+    for (const Message& m : world->node(first.from).buffer().messages()) {
+      if (m.id != first.msg) unpinned = m.id;
+    }
+    ASSERT_TRUE(unpinned.has_value()) << "the sender must hold a second copy";
+    const MessageId msg[] = {*unpinned, MessageId{1} << 40};
+    patch_u64(path, transfer_count_at(path, *world) + kFirstTransferMsg,
+              msg[which]);
+    EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError)
+        << "msg = " << msg[which];
+    std::remove(path.c_str());
+  }
 }
 
 // --- digest determinism regression ---
