@@ -130,8 +130,6 @@ class Buffer {
 
   /// Messages in arrival order.
   View messages() const { return View(&handles_, arena_); }
-  /// Pre-sizes the handle span (sizing hygiene for large-N scenarios).
-  void reserve_handles(std::size_t n) { handles_.reserve(n); }
 
   /// Snapshot/restore: arrival order is preserved bit-for-bit (FIFO
   /// policies depend on it); capacity is verified, not overwritten.

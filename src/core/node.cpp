@@ -1,6 +1,7 @@
 #include "src/core/node.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "src/core/router.hpp"
@@ -74,6 +75,19 @@ bool Node::would_admit(const Message& incoming, const PolicyContext& ctx,
   return plan_admission(incoming, ctx, newcomer_view, nullptr);
 }
 
+void Node::learn_delivered_from(const Node& other) {
+  const std::vector<MessageId>& theirs = other.known_delivered_;
+  if (std::includes(known_delivered_.begin(), known_delivered_.end(),
+                    theirs.begin(), theirs.end())) {
+    return;  // nothing new: the common case once gossip has converged
+  }
+  std::vector<MessageId> merged;
+  merged.reserve(known_delivered_.size() + theirs.size());
+  std::set_union(known_delivered_.begin(), known_delivered_.end(),
+                 theirs.begin(), theirs.end(), std::back_inserter(merged));
+  known_delivered_.swap(merged);
+}
+
 Node::AdmitResult Node::admit(Message incoming, const PolicyContext& ctx,
                               const Message* newcomer_view) {
   AdmitResult result;
@@ -95,19 +109,24 @@ Node::AdmitResult Node::admit(Message incoming, const PolicyContext& ctx,
 
 namespace {
 
-void write_sorted_id_set(snapshot::ArchiveWriter& out,
-                         const std::unordered_set<MessageId>& s) {
-  std::vector<MessageId> ids(s.begin(), s.end());
-  std::sort(ids.begin(), ids.end());
+void write_id_set(snapshot::ArchiveWriter& out,
+                  const std::vector<MessageId>& ids) {
   out.u64(ids.size());
   for (MessageId id : ids) out.u64(id);
 }
 
-void read_id_set(snapshot::ArchiveReader& in,
-                 std::unordered_set<MessageId>& s) {
-  s.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) s.insert(in.u64());
+void read_id_set(snapshot::ArchiveReader& in, std::vector<MessageId>& ids) {
+  ids.clear();
+  const std::size_t n = in.count(snapshot::kTagged64Bytes);
+  ids.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const MessageId id = in.u64();
+    // A set is saved strictly ascending; a repeat or a step back would
+    // restore a node that re-saves other bytes than it loaded.
+    DTN_REQUIRE(ids.empty() || id > ids.back(),
+                "node: delivered ids repeated or out of order");
+    ids.push_back(id);
+  }
 }
 
 }  // namespace
@@ -119,8 +138,8 @@ void Node::save_state(snapshot::ArchiveWriter& out) const {
   buffer_.save_state(out);
   imt_.save_state(out);
   dropped_.save_state(out);
-  write_sorted_id_set(out, delivered_);
-  write_sorted_id_set(out, known_delivered_);
+  write_id_set(out, delivered_);
+  write_id_set(out, known_delivered_);
   out.u64(pinned_.size());
   for (MessageId id : pinned_) out.u64(id);  // pin order is kernel state
   out.boolean(radio_busy());

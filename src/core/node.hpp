@@ -2,8 +2,8 @@
 // state (intermeeting estimator and dropped-list record).
 #pragma once
 
+#include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/buffer.hpp"
@@ -45,18 +45,20 @@ class Node {
   const BufferPolicy& policy() const { return *policy_; }
 
   // --- delivery bookkeeping (this node as destination) ---
-  bool has_delivered(MessageId id) const { return delivered_.count(id) > 0; }
-  void mark_delivered(MessageId id) { delivered_.insert(id); }
+  bool has_delivered(MessageId id) const {
+    return std::binary_search(delivered_.begin(), delivered_.end(), id);
+  }
+  void mark_delivered(MessageId id) { insert_sorted(delivered_, id); }
 
   // --- ACK gossip (optional immunization extension; the paper's setup
   //     explicitly runs *without* this — see WorldConfig::ack_gossip) ---
   bool knows_delivered(MessageId id) const {
-    return known_delivered_.count(id) > 0;
+    return std::binary_search(known_delivered_.begin(),
+                              known_delivered_.end(), id);
   }
-  void learn_delivered(MessageId id) { known_delivered_.insert(id); }
-  const std::unordered_set<MessageId>& known_delivered() const {
-    return known_delivered_;
-  }
+  void learn_delivered(MessageId id) { insert_sorted(known_delivered_, id); }
+  /// Adopts every id `other` knows delivered (the on-contact exchange).
+  void learn_delivered_from(const Node& other);
 
   // --- SDSRP distributed state ---
   sdsrp::IntermeetingEstimator& intermeeting() { return imt_; }
@@ -140,6 +142,11 @@ class Node {
   bool plan_admission(const Message& incoming, const PolicyContext& ctx,
                       const Message* newcomer_view,
                       std::vector<MessageId>* victims) const;
+  /// Inserts `id` into the ascending id set `ids` unless present.
+  static void insert_sorted(std::vector<MessageId>& ids, MessageId id) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it == ids.end() || *it != id) ids.insert(it, id);
+  }
 
   NodeId id_;
   NodeHotState* hot_;  ///< World SoA block, or nullptr standalone
@@ -149,8 +156,10 @@ class Node {
   const BufferPolicy* policy_;
   sdsrp::IntermeetingEstimator imt_;
   sdsrp::DroppedList dropped_;
-  std::unordered_set<MessageId> delivered_;
-  std::unordered_set<MessageId> known_delivered_;
+  // Delivered-id sets: ascending, so a save writes them as they lie.
+  // Most nodes hold none; a flat vector costs nothing until the first id.
+  std::vector<MessageId> delivered_;
+  std::vector<MessageId> known_delivered_;
   std::vector<MessageId> pinned_;
   bool radio_busy_ = false;
   mutable PriorityCache prio_cache_;

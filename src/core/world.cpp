@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <tuple>
 
 #include "src/snapshot/archive.hpp"
@@ -83,10 +84,7 @@ void World::configure_kinetics() {
 }
 
 void World::prepare_capacity() {
-  const std::size_t n = nodes_.size();
-  positions_.reserve(n);
-  tracker_.reserve_nodes(n);
-  if (cfg_.priority_cache) idle_memo_.reserve(std::max<std::size_t>(n, 64));
+  tracker_.reserve_nodes(nodes_.size());
   // Expected live arena slots: the traffic schedule creates one message
   // per interval_min (worst case) living `ttl` seconds, each spread over
   // at most initial_copies carriers; total residency is further capped by
@@ -103,24 +101,11 @@ void World::prepare_capacity() {
     for (std::int64_t c : hot_.buffer_cap) cap_bytes += static_cast<double>(c);
     const double by_bytes =
         cap_bytes / static_cast<double>(std::max<std::int64_t>(tc.size, 1));
-    const double est = std::min(by_rate, by_bytes) + static_cast<double>(n);
+    const double est = std::min(by_rate, by_bytes);
     slots = std::max(slots, static_cast<std::size_t>(std::min(
                                 est, static_cast<double>(1u << 18))));
   }
   arena_.reserve(slots);
-  // Per-node handle spans: a span only reallocates on powers of two, and
-  // a resident count past this reserve implies the scenario is buffer-
-  // bound, where admission churn (not span growth) dominates anyway.
-  if (gen_ != nullptr) {
-    const std::size_t per_node = std::min<std::size_t>(
-        64, static_cast<std::size_t>(std::max<std::int64_t>(
-                1, hot_.buffer_cap.empty()
-                       ? 1
-                       : hot_.buffer_cap[0] /
-                             std::max<std::int64_t>(gen_->config().size, 1))) +
-                1);
-    for (const auto& nd : nodes_) nd->buffer().reserve_handles(per_node);
-  }
 }
 
 void World::enable_traffic(const MessageGenConfig& cfg, std::uint64_t seed) {
@@ -163,15 +148,13 @@ PolicyContext World::ctx_for(const Node& n) const {
 }
 
 void World::advance_mobility() {
-  // Advancing also samples the post-move position into positions_ — the
-  // tracker input.
-  const std::size_t n = nodes_.size();
-  positions_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // Each post-move position goes straight into the tracker's position
+  // array, which takes the largest displacement in the same pass.
+  tracker_.move(nodes_.size(), [this](std::size_t i) {
     MobilityModel* m = mobility_raw_[i];
     m->advance(cfg_.step);
-    positions_[i] = m->position();
-  }
+    return m->position();
+  });
 }
 
 void World::step() {
@@ -187,9 +170,9 @@ void World::step() {
     }
   };
   now_ += cfg_.step;
-  advance_mobility();  // also refills positions_
+  advance_mobility();
   stamp(profile_.mobility_s);
-  const ContactChurn& churn = tracker_.update(positions_);
+  const ContactChurn& churn = tracker_.update();
 
   if (fault_ == nullptr) {
     for (const NodePair& p : churn.went_down) process_link_down(p);
@@ -306,18 +289,19 @@ void World::purge_on_reboot(Node& n) {
 }
 
 void World::compute_live_contacts(std::vector<NodePair>& out) const {
-  // Streams the SoA fault mirrors and the positions_ scratch (refreshed
-  // by advance_mobility each step and by rebuild_event_queues on load)
+  // Streams the SoA fault mirrors and the tracker's position array
+  // (refreshed by advance_mobility each step, restored with the tracker)
   // instead of chasing Node/FaultPlan state per pair.
   out.clear();
+  const std::vector<Vec2>& positions = tracker_.positions();
   for (const NodePair& p : tracker_.current()) {
     const auto a = static_cast<NodeId>(p.first);
     const auto b = static_cast<NodeId>(p.second);
     if (hot_.up[a] == 0 || hot_.up[b] == 0) continue;
     const double f = std::min(hot_.range_factor[a], hot_.range_factor[b]);
     if (f < 1.0) {
-      const Vec2 pa = positions_[a];
-      const Vec2 pb = positions_[b];
+      const Vec2 pa = positions[a];
+      const Vec2 pb = positions[b];
       const double dx = pa.x - pb.x;
       const double dy = pa.y - pb.y;
       const double r = cfg_.range * f;
@@ -395,8 +379,8 @@ void World::process_link_up(const NodePair& p) {
   b.note_contact_start(p.first, now_);
   router_->on_link_up(a, b, now_);
   if (cfg_.ack_gossip) {
-    for (MessageId id : b.known_delivered()) a.learn_delivered(id);
-    for (MessageId id : a.known_delivered()) b.learn_delivered(id);
+    a.learn_delivered_from(b);
+    b.learn_delivered_from(a);
     purge_acked(a);
     purge_acked(b);
   }
@@ -787,14 +771,21 @@ void write_pair_time_map(snapshot::ArchiveWriter& out,
   }
 }
 
-void read_pair_time_map(snapshot::ArchiveReader& in,
+void read_pair_time_map(snapshot::ArchiveReader& in, std::size_t n_nodes,
                         std::map<NodePair, double>& m) {
   m.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto a = static_cast<std::size_t>(in.u64());
-    const auto b = static_cast<std::size_t>(in.u64());
-    m[NodePair{a, b}] = in.f64();
+  const std::size_t n = in.count(3 * snapshot::kTagged64Bytes);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t a = in.u64();
+    const std::uint64_t b = in.u64();
+    DTN_REQUIRE(a < b && b < n_nodes,
+                "load_state: Fig. 3 pair is not two distinct node ids");
+    const NodePair p{static_cast<std::size_t>(a), static_cast<std::size_t>(b)};
+    // Saved strictly ascending; a repeat would collapse into one entry and
+    // the restored world would re-save other bytes than it loaded.
+    DTN_REQUIRE(m.empty() || std::prev(m.end())->first < p,
+                "load_state: Fig. 3 pairs repeated or out of order");
+    m.emplace_hint(m.end(), p, in.f64());
   }
 }
 
@@ -913,8 +904,8 @@ void World::load_state(snapshot::ArchiveReader& in) {
   stats_.load_state(in);
   router_->load_state(in);
   policy_->load_state(in);
-  read_pair_time_map(in, pair_last_end_);
-  read_pair_time_map(in, pair_up_since_);
+  read_pair_time_map(in, nodes_.size(), pair_last_end_);
+  read_pair_time_map(in, nodes_.size(), pair_up_since_);
   read_sample_vec(in, imt_samples_);
   read_sample_vec(in, contact_samples_);
   if (in.version() >= 4) {
@@ -998,13 +989,11 @@ void World::rebuild_event_queues() {
   std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), &expiry_after);
   // The live contact set is derived: the restored tracker pairs filtered
   // through the restored plan flags at the restored positions reproduce
-  // exactly the set the interrupted run held. The SoA fault mirrors and
-  // the positions_ scratch (its inputs) are refreshed first — the next
-  // advance_mobility has not run yet.
+  // exactly the set the interrupted run held. The SoA fault mirrors (its
+  // other input) are refreshed first — the next advance_mobility has not
+  // run yet.
   if (fault_ != nullptr) {
-    positions_.resize(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      positions_[i] = nodes_[i]->mobility().position();
       hot_.up[i] = fault_->is_up(static_cast<NodeId>(i)) ? 1 : 0;
       hot_.range_factor[i] = fault_->range_factor(static_cast<NodeId>(i));
       hot_.bitrate_factor[i] = fault_->bitrate_factor(static_cast<NodeId>(i));

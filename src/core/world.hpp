@@ -250,10 +250,11 @@ class World {
   /// Reconstructs outgoing_/heaps/seqs from restored transfers+buffers.
   void rebuild_event_queues();
 
-  /// Pre-sizes the arena, handle spans, idle table and grid directories
-  /// from the fleet size and traffic schedule so the steady-state step
-  /// loop allocates nothing even at 100k nodes (runs once, lazily, with
-  /// configure_kinetics).
+  /// Pre-sizes the arena from the traffic schedule and the grid and
+  /// contact buffers from the fleet size, so the first steps do not grow
+  /// them (runs once, lazily, with configure_kinetics). Per-node state is
+  /// not reserved: it grows on use, and the steady-state step loop
+  /// allocates nothing once it has.
   void prepare_capacity();
 
   template <typename Fn>
@@ -296,7 +297,6 @@ class World {
   std::vector<EtaEvent> eta_heap_;        ///< min-heap on (eta, from, seq)
   std::vector<ExpiryEvent> expiry_heap_;  ///< min-heap (expiry, node, msg)
   std::vector<ExpiryEvent> expiry_deferred_;  ///< purge scratch (pinned)
-  std::vector<Vec2> positions_;               ///< step scratch, reused
   bool kinetics_configured_ = false;
 
   // --- step-loop scratch, hoisted so a steady-state step allocates

@@ -33,43 +33,36 @@ void ContactTracker::set_motion_bound(double bound) {
   budget_ = 0.0;  // the next update must run a full pass
 }
 
-const ContactChurn& ContactTracker::update(const std::vector<Vec2>& positions) {
+const ContactChurn& ContactTracker::update() {
   ++updates_;
   churn_.went_up.clear();
   churn_.went_down.clear();
   bool skip = false;
-  if (wants_displacement(positions.size())) {
+  if (slack_ > 0.0 && have_prev_ && budget_ > 0.0) {
     // No pairwise distance can change by more than twice the largest
     // single-node displacement. Charging the *observed* displacement (not
-    // the advertised bound) keeps skipping correct under teleports. The
-    // same loop moves prev_ on to the new positions.
-    double max_d2 = 0.0;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      max_d2 = std::max(max_d2, distance2(prev_[i], positions[i]));
-      prev_[i] = positions[i];
-    }
-    const double spent = 2.0 * std::sqrt(max_d2);
+    // the advertised bound) keeps skipping correct under teleports.
+    const double spent = 2.0 * std::sqrt(moved2_);
     if (spent + kBudgetEps <= budget_) {
       budget_ -= spent;
       skip = true;  // only watch pairs can have changed status
     }
-  } else {
-    prev_ = positions;
   }
+  moved2_ = 0.0;  // nothing has moved since this update
   have_prev_ = true;
   if (skip) {
-    recheck_watch(positions);
+    recheck_watch();
   } else {
-    full_pass(positions);
+    full_pass();
   }
   return churn_;
 }
 
-void ContactTracker::recheck_watch(const std::vector<Vec2>& positions) {
+void ContactTracker::recheck_watch() {
   // watch_ is sorted by (i, j), so the churn comes out sorted.
   const double r2 = range_ * range_;
   for (WatchPair& wp : watch_) {
-    const bool in = distance2(positions[wp.i], positions[wp.j]) <= r2;
+    const bool in = distance2(positions_[wp.i], positions_[wp.j]) <= r2;
     if (in == wp.in_contact) continue;
     wp.in_contact = in;
     (in ? churn_.went_up : churn_.went_down).emplace_back(wp.i, wp.j);
@@ -85,9 +78,9 @@ void ContactTracker::recheck_watch(const std::vector<Vec2>& positions) {
   current_.swap(next_);
 }
 
-void ContactTracker::full_pass(const std::vector<Vec2>& positions) {
+void ContactTracker::full_pass() {
   ++full_passes_;
-  grid_.rebuild(positions);
+  grid_.rebuild(positions_);
   next_.clear();
   watch_.clear();
   // Pairs within ±slack/2 of the range boundary become watch pairs (exact
@@ -109,7 +102,7 @@ void ContactTracker::full_pass(const std::vector<Vec2>& positions) {
   // heap-allocated callback per pass breaks the zero-steady-state-
   // allocation property test_step_loop pins. Hits come (i, j)-sorted.
   hits_.clear();
-  grid_.collect_pairs_within(reach, 0, positions.size(), hits_);
+  grid_.collect_pairs_within(reach, 0, positions_.size(), hits_);
   for (const SpatialGrid::PairHit& h : hits_) {
     const bool in = h.d2 <= r2;
     if (in) next_.emplace_back(h.i, h.j);
@@ -147,8 +140,8 @@ void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
     out.f64(slack_);
     out.f64(budget_);
     out.boolean(have_prev_);
-    out.u64(prev_.size());
-    for (const Vec2& p : prev_) {
+    out.u64(positions_.size());
+    for (const Vec2& p : positions_) {
       out.f64(p.x);
       out.f64(p.y);
     }
@@ -184,13 +177,15 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in,
     slack_ = in.f64();
     budget_ = in.f64();
     have_prev_ = in.boolean();
-    prev_.clear();
+    positions_.clear();
     const std::size_t np = in.count(2 * snapshot::kTagged64Bytes);
-    prev_.reserve(np);
+    DTN_REQUIRE(np == n_nodes || (np == 0 && current_.empty()),
+                "contacts: position array does not fit the fleet");
+    positions_.reserve(np);
     for (std::size_t i = 0; i < np; ++i) {
       const double x = in.f64();
       const double y = in.f64();
-      prev_.push_back({x, y});
+      positions_.push_back({x, y});
     }
     watch_.clear();
     const std::size_t nw = in.count(2 * snapshot::kTaggedU32Bytes +
@@ -220,9 +215,10 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in,
     slack_ = 0.0;
     budget_ = 0.0;
     have_prev_ = false;
-    prev_.clear();
+    positions_.clear();
     watch_.clear();
   }
+  moved2_ = 0.0;
   grid_.set_cell(range_ + slack_);
   in.end_section();
 }

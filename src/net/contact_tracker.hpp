@@ -21,11 +21,16 @@
 //     skipped step charges that *observed* displacement (not the
 //     advertised bound — teleports self-invalidate) against the budget,
 //     and a full pass re-certifies everything once it is spent.
+//
+// The tracker owns the fleet's one position array. The mover writes each
+// step's positions into it (`move`), taking the largest displacement in
+// the same pass, so no other copy of the positions exists.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -68,10 +73,40 @@ class ContactTracker {
   /// restored tracker keeps its checkpointed budget.
   void set_motion_bound(double bound);
 
-  /// Processes one movement step; returns the link churn. Pair lists are
-  /// sorted, so downstream processing is deterministic. The returned
-  /// reference and the `current()` view stay valid until the next update.
-  const ContactChurn& update(const std::vector<Vec2>& positions);
+  /// Moves the fleet for the next update: writes `next(i)`, node i's new
+  /// position, over its old one for every i < n, and takes the largest
+  /// displacement in the same pass. Nodes new to the array moved
+  /// arbitrarily far, so the next update runs a full pass.
+  template <typename Next>
+  void move(std::size_t n, Next&& next) {
+    double max_d2 = positions_.size() == n
+                        ? 0.0
+                        : std::numeric_limits<double>::infinity();
+    positions_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Vec2 p = next(i);
+      max_d2 = std::max(max_d2, distance2(positions_[i], p));
+      positions_[i] = p;
+    }
+    moved2_ = max_d2;
+  }
+
+  /// Processes one movement step at `positions()`; returns the link churn.
+  /// Pair lists are sorted, so downstream processing is deterministic.
+  /// The returned reference and the `current()` view stay valid until the
+  /// next update.
+  const ContactChurn& update();
+
+  /// `move` to `positions`, then `update` (tests and tools).
+  const ContactChurn& update(const std::vector<Vec2>& positions) {
+    move(positions.size(),
+         [&positions](std::size_t i) { return positions[i]; });
+    return update();
+  }
+
+  /// The fleet's positions as of the last update, indexed by node id;
+  /// empty before the first.
+  const std::vector<Vec2>& positions() const { return positions_; }
 
   /// Pairs currently in contact (sorted ascending).
   const std::vector<NodePair>& current() const { return current_; }
@@ -90,7 +125,7 @@ class ContactTracker {
   /// so the first full passes do not grow them inside the step loop.
   void reserve_nodes(std::size_t n) {
     grid_.reserve_nodes(n);
-    prev_.reserve(n);
+    positions_.reserve(n);
     next_.reserve(n);
     current_.reserve(n);
   }
@@ -106,8 +141,11 @@ class ContactTracker {
   /// only in buffered checkpoints so a restored run skips the same steps
   /// an uninterrupted one does. `load_state` throws PreconditionError
   /// unless every contact and watch pair names two node ids below
-  /// `n_nodes`, first below second, each list is strictly ascending, and
-  /// each watch pair is flagged in contact iff it is a contact pair.
+  /// `n_nodes`, first below second, each list is strictly ascending, each
+  /// watch pair is flagged in contact iff it is a contact pair, and the
+  /// position array holds `n_nodes` entries, or none while no pair is in
+  /// contact (the fault layer indexes it by the contacts' node ids before
+  /// the next move refills it).
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in, std::size_t n_nodes);
 
@@ -119,17 +157,11 @@ class ContactTracker {
     bool in_contact = false;  ///< classification as of the last update
   };
 
-  /// True when the next update needs the fleet's max displacement to
-  /// decide between a skip and a full pass.
-  bool wants_displacement(std::size_t n_nodes) const {
-    return slack_ > 0.0 && have_prev_ && prev_.size() == n_nodes &&
-           budget_ > 0.0;
-  }
   /// Skip step: re-checks the watch set exactly and applies its churn.
-  void recheck_watch(const std::vector<Vec2>& positions);
+  void recheck_watch();
   /// Full pass: rebuilds the grid, re-derives the contact and watch sets
   /// and re-certifies the kinetic budget.
-  void full_pass(const std::vector<Vec2>& positions);
+  void full_pass();
 
   double range_;
   double slack_ = 0.0;    ///< extra grid radius; 0 = skipping disabled
@@ -139,7 +171,8 @@ class ContactTracker {
   std::vector<NodePair> current_;  ///< sorted
   std::vector<NodePair> next_;     ///< scratch (full pass / churn apply)
   ContactChurn churn_;             ///< reused between updates
-  std::vector<Vec2> prev_;         ///< positions at the previous update
+  std::vector<Vec2> positions_;    ///< as of the last update (or move)
+  double moved2_ = 0.0;  ///< largest squared move since the last update
   std::vector<WatchPair> watch_;   ///< sorted by (i, j)
   std::size_t updates_ = 0;
   std::size_t full_passes_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
@@ -16,32 +15,46 @@ IntermeetingEstimator::IntermeetingEstimator(double prior_mean,
   DTN_REQUIRE(prior_mean > 0.0, "intermeeting: prior mean must be positive");
 }
 
+IntermeetingEstimator::Peer& IntermeetingEstimator::find_or_insert(
+    std::size_t peer) {
+  DTN_REQUIRE(peer <= std::numeric_limits<std::uint32_t>::max(),
+              "intermeeting: peer id out of range");
+  const auto id = static_cast<std::uint32_t>(peer);
+  const auto it = std::lower_bound(
+      peers_.begin(), peers_.end(), id,
+      [](const Peer& p, std::uint32_t key) { return p.id < key; });
+  if (it != peers_.end() && it->id == id) return *it;
+  Peer fresh;
+  fresh.id = id;
+  return *peers_.insert(it, fresh);
+}
+
 void IntermeetingEstimator::on_contact_start(std::size_t peer, double now) {
-  const auto it = last_end_.find(peer);
-  if (it != last_end_.end()) {
-    if (now > it->second) stats_.add(now - it->second);
-    closed_exposure_ += std::max(0.0, now - it->second);
+  Peer& p = find_or_insert(peer);
+  if (p.open) {
+    if (now > p.last_end) stats_.add(now - p.last_end);
+    closed_exposure_ += std::max(0.0, now - p.last_end);
     // The open interval for this peer closes.
     --open_count_;
-    open_since_sum_ -= it->second;
-    last_end_.erase(it);
+    open_since_sum_ -= p.last_end;
+    p.open = false;
   }
-  last_seen_[peer] = now;
+  p.last_seen = now;
 }
 
 void IntermeetingEstimator::on_contact_end(std::size_t peer, double now) {
-  const auto it = last_end_.find(peer);
-  if (it != last_end_.end()) {
+  Peer& p = find_or_insert(peer);
+  if (p.open) {
     // Consecutive end without an intervening recorded start (should not
     // happen with a well-behaved kernel): restart the open interval.
-    open_since_sum_ += now - it->second;
-    it->second = now;
+    open_since_sum_ += now - p.last_end;
   } else {
-    last_end_.emplace(peer, now);
+    p.open = true;
     ++open_count_;
     open_since_sum_ += now;
   }
-  last_seen_[peer] = now;
+  p.last_end = now;
+  p.last_seen = now;
 }
 
 double IntermeetingEstimator::mean_intermeeting(double now) const {
@@ -72,40 +85,28 @@ double IntermeetingEstimator::mean_min_intermeeting(
 }
 
 double IntermeetingEstimator::last_contact(std::size_t peer) const {
-  const auto it = last_seen_.find(peer);
-  return it != last_seen_.end() ? it->second
-                                : -std::numeric_limits<double>::infinity();
+  const auto it = std::lower_bound(
+      peers_.begin(), peers_.end(), peer,
+      [](const Peer& p, std::size_t key) { return p.id < key; });
+  return it != peers_.end() && it->id == peer
+             ? it->last_seen
+             : -std::numeric_limits<double>::infinity();
 }
 
 namespace {
 
-void write_sorted_map(snapshot::ArchiveWriter& out,
-                      const std::unordered_map<std::size_t, double>& m) {
-  std::vector<std::size_t> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  out.u64(keys.size());
-  for (std::size_t k : keys) {
-    out.u64(k);
-    out.f64(m.at(k));
-  }
-}
-
-void read_map(snapshot::ArchiveReader& in,
-              std::unordered_map<std::size_t, double>& m) {
-  m.clear();
-  const std::uint64_t n = in.u64();
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t k = in.u64();
-    // Peers are saved strictly ascending; a repeat would collapse into
-    // one entry while still being counted in the open-interval count.
-    DTN_REQUIRE(i == 0 || k > prev,
-                "intermeeting: peers repeated or out of order");
-    prev = k;
-    m.emplace(static_cast<std::size_t>(k), in.f64());
-  }
+/// Reads one (peer id, time) entry of a saved peer list, which is
+/// strictly ascending by id; `prev` is the previous entry's id, if any.
+std::uint32_t read_peer_id(snapshot::ArchiveReader& in,
+                           const std::uint32_t* prev) {
+  const std::uint64_t id = in.u64();
+  // A repeat would collapse into one entry while still being counted in
+  // the open-interval count.
+  DTN_REQUIRE(prev == nullptr || id > *prev,
+              "intermeeting: peers repeated or out of order");
+  DTN_REQUIRE(id <= std::numeric_limits<std::uint32_t>::max(),
+              "intermeeting: peer id out of range");
+  return static_cast<std::uint32_t>(id);
 }
 
 }  // namespace
@@ -116,8 +117,17 @@ void IntermeetingEstimator::save_state(snapshot::ArchiveWriter& out) const {
   out.f64(closed_exposure_);
   out.u64(open_count_);
   out.f64(open_since_sum_);
-  write_sorted_map(out, last_end_);
-  write_sorted_map(out, last_seen_);
+  out.u64(open_count_);
+  for (const Peer& p : peers_) {
+    if (!p.open) continue;
+    out.u64(p.id);
+    out.f64(p.last_end);
+  }
+  out.u64(peers_.size());
+  for (const Peer& p : peers_) {
+    out.u64(p.id);
+    out.f64(p.last_seen);
+  }
   out.end_section();
 }
 
@@ -127,10 +137,34 @@ void IntermeetingEstimator::load_state(snapshot::ArchiveReader& in) {
   closed_exposure_ = in.f64();
   open_count_ = static_cast<std::size_t>(in.u64());
   open_since_sum_ = in.f64();
-  read_map(in, last_end_);
-  DTN_REQUIRE(open_count_ == last_end_.size(),
+  // Open peers with their last contact end, then every peer with its last
+  // contact: each entry is a u64 id and an f64 time.
+  const std::size_t n_open = in.count(2 * snapshot::kTagged64Bytes);
+  DTN_REQUIRE(open_count_ == n_open,
               "intermeeting: open-interval count does not match open peers");
-  read_map(in, last_seen_);
+  std::vector<Peer> open(n_open);
+  for (std::size_t i = 0; i < n_open; ++i) {
+    open[i].id = read_peer_id(in, i == 0 ? nullptr : &open[i - 1].id);
+    open[i].last_end = in.f64();
+  }
+  const std::size_t n_seen = in.count(2 * snapshot::kTagged64Bytes);
+  peers_.clear();
+  peers_.reserve(n_seen);
+  std::size_t next_open = 0;
+  for (std::size_t i = 0; i < n_seen; ++i) {
+    Peer p;
+    p.id = read_peer_id(in, i == 0 ? nullptr : &peers_.back().id);
+    p.last_seen = in.f64();
+    // Ending a contact also records it, so an open peer is always seen.
+    DTN_REQUIRE(next_open == n_open || open[next_open].id >= p.id,
+                "intermeeting: open peer was never seen");
+    if (next_open < n_open && open[next_open].id == p.id) {
+      p.open = true;
+      p.last_end = open[next_open++].last_end;
+    }
+    peers_.push_back(p);
+  }
+  DTN_REQUIRE(next_open == n_open, "intermeeting: open peer was never seen");
   in.end_section();
 }
 

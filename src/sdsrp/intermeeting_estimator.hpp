@@ -4,7 +4,9 @@
 // Each node keeps, per peer, the end time of the last contact; when a new
 // contact with that peer starts, the elapsed gap is one intermeeting
 // event. The estimator is distributed — it only uses contacts the node
-// itself observed.
+// itself observed, so its state is one entry per peer met: a flat vector
+// sorted by peer id (a binary search per contact event, and a save walks
+// it in order with no sort).
 //
 // Estimation mode (see DESIGN.md §4):
 //   * kCensoredMle (default): the exponential-MLE with right-censoring,
@@ -24,7 +26,8 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "src/util/stats.hpp"
 
@@ -49,7 +52,8 @@ class IntermeetingEstimator {
                                      ImtEstimatorMode::kCensoredMle);
 
   /// Records that a contact with `peer` began at `now`; harvests an
-  /// intermeeting event if a previous contact end is known.
+  /// intermeeting event if a previous contact end is known. Peer ids are
+  /// node ids: below 2^32.
   void on_contact_start(std::size_t peer, double now);
 
   /// Records that the current contact with `peer` ended at `now`.
@@ -76,11 +80,28 @@ class IntermeetingEstimator {
   ImtEstimatorMode mode() const { return mode_; }
 
   /// Snapshot/restore of the full estimator state (configuration fields
-  /// are construction parameters and are verified, not overwritten).
+  /// are construction parameters and are verified, not overwritten). The
+  /// stream holds two ascending peer lists: the open peers with their last
+  /// contact end, then every peer with its last contact. `load_state`
+  /// throws PreconditionError unless both lists are strictly ascending,
+  /// the open count matches the first, and every open peer is in the
+  /// second.
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in);
 
  private:
+  /// One peer this node has met. `last_end` is meaningful while `open`:
+  /// the peer's last contact ended and it has not been met again.
+  struct Peer {
+    double last_seen = 0.0;  ///< last contact start or end
+    double last_end = 0.0;   ///< end of the last contact (open only)
+    std::uint32_t id = 0;
+    bool open = false;
+  };
+
+  /// The entry for `peer`, inserted (closed, never seen) if absent.
+  Peer& find_or_insert(std::size_t peer);
+
   double prior_mean_;
   std::size_t min_samples_;
   ImtEstimatorMode mode_;
@@ -88,8 +109,7 @@ class IntermeetingEstimator {
   double closed_exposure_ = 0.0;     ///< sum of completed gaps
   std::size_t open_count_ = 0;       ///< peers waiting to re-meet
   double open_since_sum_ = 0.0;      ///< Σ last_end over open intervals
-  std::unordered_map<std::size_t, double> last_end_;
-  std::unordered_map<std::size_t, double> last_seen_;
+  std::vector<Peer> peers_;          ///< sorted by id
 };
 
 }  // namespace dtn::sdsrp

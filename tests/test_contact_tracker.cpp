@@ -169,9 +169,11 @@ using WatchPairs = std::vector<Watch>;
 
 // A hand-built "contacts" section for a three-node fleet: the contact
 // pairs, then kinetic bookkeeping (slack 10 m, budget 5 m, the nodes'
-// last positions) and the watch pairs with their contact flags.
+// last positions — the first `n_positions` of four) and the watch pairs
+// with their contact flags.
 std::vector<std::uint8_t> contacts_section(const Pairs& contacts,
-                                           const WatchPairs& watch) {
+                                           const WatchPairs& watch,
+                                           std::size_t n_positions = 3) {
   snapshot::ArchiveWriter w;
   w.begin_section("contacts");
   w.u64(contacts.size());
@@ -182,7 +184,8 @@ std::vector<std::uint8_t> contacts_section(const Pairs& contacts,
   w.f64(10.0);
   w.f64(5.0);
   w.boolean(true);
-  const std::vector<Vec2> prev{{0, 0}, {5, 0}, {16, 0}};
+  std::vector<Vec2> prev{{0, 0}, {5, 0}, {16, 0}, {40, 0}};
+  prev.resize(n_positions);
   w.u64(prev.size());
   for (const Vec2& p : prev) {
     w.f64(p.x);
@@ -266,6 +269,30 @@ TEST(ContactTrackerState, RejectsWatchPairNotFirstBelowSecond) {
   ContactTracker t(10.0);
   EXPECT_THROW(load(t, {}, {{2, 1}}), PreconditionError);
   EXPECT_THROW(load(t, {}, {{2, 2}}), PreconditionError);
+}
+
+TEST(ContactTrackerState, RejectsPositionArrayThatCannotServeTheNextStep) {
+  // The array holds every node's position, or none before the first
+  // update. The fault layer reads it by the contacts' node ids before the
+  // next move refills it, so a short array is read out of range.
+  for (const std::size_t n_positions : {1u, 2u, 4u}) {
+    ContactTracker t(10.0);
+    snapshot::ArchiveReader in(contacts_section({}, {}, n_positions));
+    EXPECT_THROW(t.load_state(in, 3), PreconditionError) << n_positions;
+  }
+  ContactTracker with_contacts(10.0);
+  snapshot::ArchiveReader in(contacts_section({{0, 1}}, {}, 0));
+  EXPECT_THROW(with_contacts.load_state(in, 3), PreconditionError);
+
+  // No positions and no contacts is a tracker saved before its first
+  // update: it loads, and the next update runs a full pass.
+  ContactTracker fresh(10.0);
+  snapshot::ArchiveReader empty(contacts_section({}, {}, 0));
+  fresh.load_state(empty, 3);
+  EXPECT_TRUE(fresh.positions().empty());
+  const ContactChurn& churn = fresh.update({{0, 0}, {5, 0}, {14.5, 0}});
+  EXPECT_EQ(fresh.full_pass_count(), 1u);
+  EXPECT_EQ(churn.went_up, (std::vector<NodePair>{{0, 1}, {1, 2}}));
 }
 
 TEST(ContactTrackerState, RejectsWatchFlagDisagreeingWithTheContacts) {

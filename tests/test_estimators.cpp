@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -246,6 +248,183 @@ TEST(IntermeetingEstimatorState, RejectsOpenCountThatDisagrees) {
   IntermeetingEstimator e(1000.0, 1);
   EXPECT_THROW(load(e, 3, {{1, 10.0}, {4, 20.0}}, {{1, 10.0}, {4, 20.0}}),
                PreconditionError);
+}
+
+TEST(IntermeetingEstimatorState, RejectsOpenPeerNeverSeen) {
+  // Ending a contact records the peer as seen, so a saved stream never
+  // holds an open peer missing from the last-seen list.
+  IntermeetingEstimator e(1000.0, 1);
+  EXPECT_THROW(load(e, 1, {{4, 20.0}}, {{1, 10.0}}), PreconditionError);
+  EXPECT_THROW(load(e, 1, {{1, 20.0}}, {{4, 10.0}}), PreconditionError);
+  EXPECT_THROW(load(e, 2, {{1, 10.0}, {4, 20.0}}, {{4, 20.0}}),
+               PreconditionError);
+  EXPECT_THROW(load(e, 1, {{4, 20.0}}, {}), PreconditionError);
+}
+
+// The estimator as it kept its peers before the flat layout: one hash map
+// of open peers' last contact ends and one of every peer's last contact,
+// sorted at save time. The flat estimator must match it operation for
+// operation and byte for byte.
+class TwoMapEstimator {
+ public:
+  TwoMapEstimator(double prior_mean, std::size_t min_samples,
+                  ImtEstimatorMode mode)
+      : prior_mean_(prior_mean), min_samples_(min_samples), mode_(mode) {}
+
+  void on_contact_start(std::size_t peer, double now) {
+    const auto it = last_end_.find(peer);
+    if (it != last_end_.end()) {
+      if (now > it->second) stats_.add(now - it->second);
+      closed_exposure_ += std::max(0.0, now - it->second);
+      --open_count_;
+      open_since_sum_ -= it->second;
+      last_end_.erase(it);
+    }
+    last_seen_[peer] = now;
+  }
+
+  void on_contact_end(std::size_t peer, double now) {
+    const auto it = last_end_.find(peer);
+    if (it != last_end_.end()) {
+      open_since_sum_ += now - it->second;
+      it->second = now;
+    } else {
+      last_end_.emplace(peer, now);
+      ++open_count_;
+      open_since_sum_ += now;
+    }
+    last_seen_[peer] = now;
+  }
+
+  double mean_intermeeting(double now) const {
+    if (stats_.count() < min_samples_) return prior_mean_;
+    if (mode_ == ImtEstimatorMode::kNaiveMean) {
+      const double m = stats_.mean();
+      return m > 0.0 ? m : prior_mean_;
+    }
+    const double open_exposure =
+        static_cast<double>(open_count_) * now - open_since_sum_;
+    const double exposure = closed_exposure_ + std::max(0.0, open_exposure);
+    const double mean = exposure / static_cast<double>(stats_.count());
+    return mean > 0.0 ? mean : prior_mean_;
+  }
+
+  double last_contact(std::size_t peer) const {
+    const auto it = last_seen_.find(peer);
+    return it != last_seen_.end() ? it->second
+                                  : -std::numeric_limits<double>::infinity();
+  }
+
+  std::size_t samples() const { return stats_.count(); }
+
+  void save_state(snapshot::ArchiveWriter& out) const {
+    out.begin_section("imt-estimator");
+    snapshot::write_running_stats(out, stats_);
+    out.f64(closed_exposure_);
+    out.u64(open_count_);
+    out.f64(open_since_sum_);
+    write_sorted(out, last_end_);
+    write_sorted(out, last_seen_);
+    out.end_section();
+  }
+
+  void load_state(snapshot::ArchiveReader& in) {
+    in.begin_section("imt-estimator");
+    snapshot::read_running_stats(in, stats_);
+    closed_exposure_ = in.f64();
+    open_count_ = static_cast<std::size_t>(in.u64());
+    open_since_sum_ = in.f64();
+    read(in, last_end_);
+    read(in, last_seen_);
+    in.end_section();
+  }
+
+ private:
+  using Map = std::unordered_map<std::size_t, double>;
+
+  static void write_sorted(snapshot::ArchiveWriter& out, const Map& m) {
+    std::vector<std::size_t> keys;
+    for (const auto& [k, v] : m) keys.push_back(k);
+    std::sort(keys.begin(), keys.end());
+    out.u64(keys.size());
+    for (std::size_t k : keys) {
+      out.u64(k);
+      out.f64(m.at(k));
+    }
+  }
+  static void read(snapshot::ArchiveReader& in, Map& m) {
+    m.clear();
+    const std::uint64_t n = in.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto k = static_cast<std::size_t>(in.u64());
+      m[k] = in.f64();
+    }
+  }
+
+  double prior_mean_;
+  std::size_t min_samples_;
+  ImtEstimatorMode mode_;
+  RunningStats stats_;
+  double closed_exposure_ = 0.0;
+  std::size_t open_count_ = 0;
+  double open_since_sum_ = 0.0;
+  Map last_end_;
+  Map last_seen_;
+};
+
+template <typename Estimator>
+std::vector<std::uint8_t> saved_bytes(const Estimator& e) {
+  snapshot::ArchiveWriter w;
+  e.save_state(w);
+  return w.bytes();
+}
+
+TEST(IntermeetingEstimatorState, FlatPeersMatchTwoMapModel) {
+  // Random contact starts, ends (repeated ends included) and save-load
+  // round trips over 320 peers at random times, some of them equal: after
+  // every operation both estimators give the same answers and save the
+  // same bytes.
+  constexpr std::size_t kPeers = 320;
+  constexpr int kOps = 3000;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const ImtEstimatorMode mode :
+         {ImtEstimatorMode::kCensoredMle, ImtEstimatorMode::kNaiveMean}) {
+      Rng rng(seed);
+      IntermeetingEstimator flat(500.0, 4, mode);
+      TwoMapEstimator model(500.0, 4, mode);
+      double now = 0.0;
+      int saves = 0;
+      for (int op = 0; op < kOps; ++op) {
+        if (rng.uniform01() < 0.7) now += rng.uniform(0.0, 40.0);
+        const auto peer = static_cast<std::size_t>(rng.uniform_int(0, kPeers - 1));
+        const double pick = rng.uniform01();
+        if (pick < 0.45) {
+          flat.on_contact_start(peer, now);
+          model.on_contact_start(peer, now);
+        } else if (pick < 0.95) {
+          flat.on_contact_end(peer, now);
+          model.on_contact_end(peer, now);
+        } else {
+          ++saves;
+          snapshot::ArchiveReader flat_in(saved_bytes(flat));
+          flat = IntermeetingEstimator(500.0, 4, mode);
+          flat.load_state(flat_in);
+          snapshot::ArchiveReader model_in(saved_bytes(model));
+          model.load_state(model_in);
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " op " << op << " peer " << peer);
+        ASSERT_EQ(flat.samples(), model.samples());
+        ASSERT_EQ(flat.mean_intermeeting(now), model.mean_intermeeting(now));
+        ASSERT_EQ(flat.last_contact(peer), model.last_contact(peer));
+        const auto other = static_cast<std::size_t>(rng.uniform_int(0, kPeers + 8));
+        ASSERT_EQ(flat.last_contact(other), model.last_contact(other));
+        ASSERT_EQ(saved_bytes(flat), saved_bytes(model));
+      }
+      EXPECT_GT(saves, 100);
+      EXPECT_GT(flat.samples(), 500u);
+    }
+  }
 }
 
 // --- spray tree ---

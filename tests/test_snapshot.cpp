@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -600,6 +602,102 @@ TEST(CorruptCheckpoint, TransferOfAMessageTheSenderDoesNotPinThrows) {
         << "msg = " << msg[which];
     std::remove(path.c_str());
   }
+}
+
+// Payload offset of the only occurrence of `parts`, concatenated.
+std::size_t unique_offset(const std::string& path,
+                          const std::vector<std::vector<std::uint8_t>>& parts) {
+  std::vector<std::uint8_t> pattern;
+  for (const std::vector<std::uint8_t>& part : parts) {
+    pattern.insert(pattern.end(), part.begin(), part.end());
+  }
+  const std::vector<std::uint8_t> payload = payload_of(path);
+  const auto found = std::search(payload.begin(), payload.end(),
+                                 pattern.begin(), pattern.end());
+  EXPECT_NE(found, payload.end());
+  EXPECT_EQ(std::search(found + 1, payload.end(), pattern.begin(),
+                        pattern.end()),
+            payload.end());
+  return static_cast<std::size_t>(found - payload.begin());
+}
+
+TEST(CorruptCheckpoint, DeliveredIdsRepeatedOrOutOfOrderThrow) {
+  // Restoring these used to succeed: the set collapsed the repeat or put
+  // the id back in order, so the restored node re-saved other bytes than
+  // it loaded.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration);
+  // A destination holding at least two delivered ids, ascending as saved.
+  std::vector<MessageId> ids;
+  for (NodeId n = 0; n < world->node_count() && ids.size() < 2; ++n) {
+    ids.clear();
+    for (MessageId id = 0; id <= world->stats().created + 1; ++id) {
+      if (world->node(n).has_delivered(id)) ids.push_back(id);
+    }
+  }
+  ASSERT_GE(ids.size(), 2u);
+  ASSERT_GT(ids[0], 0u);
+  const std::string path = temp_path("delivered_ids.ckpt");
+  for (const MessageId second : {ids[0], ids[0] - 1}) {
+    snapshot::save_checkpoint(path, sc, *world);
+    // The set follows the dropped-list section's end: its count, then the
+    // ids; the second id's tag byte is two tagged values in.
+    const std::size_t at =
+        unique_offset(path, {{0x09}, tagged(0x03, ids.size(), 8),
+                             tagged(0x03, ids[0], 8),
+                             tagged(0x03, ids[1], 8)}) +
+        1 + 2 * snapshot::kTagged64Bytes;
+    patch_u64(path, at, second);
+    EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError)
+        << "second id " << second;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCheckpoint, Fig3PairsRepeatedOrBeyondTheFleetThrow) {
+  // A world collecting Fig. 3 samples keeps each pair's last link-down
+  // time; this observer keeps the same map, so the test can find it in
+  // the checkpoint.
+  struct LinkDownLog : WorldObserver {
+    std::map<NodePair, double> last_end;
+    void on_link_down(const NodePair& p, SimTime now) override {
+      last_end[p] = now;
+    }
+  };
+  Scenario sc = small_paper("rwp", "sdsrp");
+  sc.world.collect_intermeeting = true;
+  auto world = build_world(sc);
+  LinkDownLog log;
+  world->add_observer(&log);
+  world->run_until(1000.0);
+  ASSERT_GE(log.last_end.size(), 2u);
+  const auto [p0, t0] = *log.last_end.begin();
+  const auto [p1, t1] = *std::next(log.last_end.begin());
+  const auto n = static_cast<std::uint64_t>(world->node_count());
+  // Replacements for the second pair (first, second): the first pair
+  // again, a node past the fleet, and the pair the wrong way round.
+  const std::pair<std::uint64_t, std::uint64_t> patches[] = {
+      {p0.first, p0.second}, {p1.first, n}, {p1.second, p1.first}};
+  const std::string path = temp_path("fig3_pairs.ckpt");
+  for (const auto& [first, second] : patches) {
+    snapshot::save_checkpoint(path, sc, *world);
+    // The map is its size, then (first, second, time) per pair.
+    const std::size_t at =
+        unique_offset(path,
+                      {tagged(0x03, log.last_end.size(), 8),
+                       tagged(0x03, p0.first, 8), tagged(0x03, p0.second, 8),
+                       tagged(0x05, std::bit_cast<std::uint64_t>(t0), 8),
+                       tagged(0x03, p1.first, 8), tagged(0x03, p1.second, 8)}) +
+        4 * snapshot::kTagged64Bytes;
+    patch_u64(path, at, first);
+    patch_u64(path, at + snapshot::kTagged64Bytes, second);
+    auto fresh = build_world(sc);
+    snapshot::ArchiveReader in = snapshot::read_archive_file(path);
+    EXPECT_THROW(snapshot::restore_world_into(in, *fresh), PreconditionError)
+        << "second pair (" << first << ", " << second << ")";
+  }
+  std::remove(path.c_str());
 }
 
 // --- digest determinism regression ---

@@ -3,8 +3,9 @@
 // the legacy scan, mid-run checkpoints resume digest-equal, an attached
 // observer changes neither the digest trajectory nor the step path, the
 // steady-state step loop — SDSRP candidate selection included —
-// performs no heap allocation, and the inert `Parallel.threads` key
-// still round-trips without changing a run.
+// performs no heap allocation, the first step reserves nothing per
+// node, and the inert `Parallel.threads` key still round-trips without
+// changing a run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -321,6 +322,41 @@ TEST(StepLoopScratch, DenseGridRebuildsDoNotAllocateInSteadyState) {
   // The window must actually have exercised the rebuild path.
   EXPECT_GT(w->contacts().full_pass_count(), passes_before);
   EXPECT_TRUE(w->contacts().grid().dense());
+  EXPECT_TRUE(w->contacts().current().empty());
+#endif  // DTN_NO_ALLOC_COUNTER
+}
+
+TEST(StepLoopScratch, FirstStepReservesNothingPerNode) {
+#ifdef DTN_NO_ALLOC_COUNTER
+  GTEST_SKIP() << "allocation counter disabled under AddressSanitizer";
+#else
+  // The first step sizes what the fleet needs as a whole (grid, contact
+  // buffers, the arena by the traffic schedule), never one allocation
+  // per node: a handle span, memo entries or estimator peers grow only
+  // when a node uses them. 20,000 stationary nodes 50 m apart, out of
+  // each other's 10 m range, with SDSRP traffic.
+  constexpr std::size_t kNodes = 20'000;
+  WorldConfig cfg;
+  cfg.step = 1.0;
+  cfg.duration = 100.0;
+  cfg.range = 10.0;
+  auto w = std::make_unique<World>(cfg);
+  w->set_router(std::make_unique<SprayAndWaitRouter>());
+  w->set_policy(std::make_unique<SdsrpPolicy>());
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    w->add_node(std::make_unique<StationaryModel>(
+                    Vec2{static_cast<double>(i % 200) * 50.0,
+                         static_cast<double>(i / 200) * 50.0}),
+                2'000'000);
+  }
+  MessageGenConfig traffic;
+  traffic.interval_min = traffic.interval_max = 1.0;
+  w->enable_traffic(traffic, 7);
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  w->step();
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_LT(after - before, kNodes / 100);
+  EXPECT_EQ(w->stats().created, 1u);
   EXPECT_TRUE(w->contacts().current().empty());
 #endif  // DTN_NO_ALLOC_COUNTER
 }
