@@ -2,8 +2,8 @@
 // spatial-grid contact detection (fixed area, and constant density up to
 // 100k nodes), the random-waypoint mobility pass at the same densities,
 // the inter-meeting estimators' contact churn, priority evaluation (closed form vs Taylor), buffer admission,
-// dropped-list merge, checkpoint serialization, the checkpoint hash and
-// the state digest, SDSRP's per-message rating and candidate selection on
+// dropped-list merge, checkpoint serialization, the checkpoint hash, a
+// checkpoint restore and the state digest, SDSRP's per-message rating and candidate selection on
 // a paused Table II world, and a full world-step at paper scale.
 //
 //   ./micro_kernel --benchmark_out=BENCH_micro_kernel.json
@@ -307,6 +307,31 @@ void BM_CheckpointHash(benchmark::State& state) {
                           static_cast<std::int64_t>(w.bytes_written()));
 }
 BENCHMARK(BM_CheckpointHash)->Unit(benchmark::kMillisecond);
+
+/// Restoring that payload into a second world built from the same
+/// scenario: the payload's copy into a reader, then restore_world_into,
+/// which gives every node that names a drop-record table entry the same
+/// record. `records` counts the distinct records the restore holds.
+void BM_RestoreWorld(benchmark::State& state) {
+  const PausedWorld& p = table2_sdsrp_2mb();
+  dtn::snapshot::ArchiveWriter w;
+  dtn::snapshot::save_world(w, p.sc, *p.world);
+  const std::unique_ptr<dtn::World> target = dtn::build_world(p.sc);
+  for (auto _ : state) {
+    dtn::snapshot::ArchiveReader in(w.bytes());
+    dtn::snapshot::restore_world_into(in, *target);
+    benchmark::DoNotOptimize(target.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(w.bytes_written()));
+  dtn::sdsrp::DropRecordTable records;
+  for (dtn::NodeId id = 0; id < target->node_count(); ++id) {
+    records.add(target->node(id).dropped_list());
+  }
+  state.counters["records"] = static_cast<double>(records.size());
+}
+BENCHMARK(BM_RestoreWorld)->Unit(benchmark::kMillisecond);
 
 /// World::digest: the same serializer in hash-only mode.
 void BM_WorldDigest(benchmark::State& state) {

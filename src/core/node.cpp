@@ -131,13 +131,14 @@ void read_id_set(snapshot::ArchiveReader& in, std::vector<MessageId>& ids) {
 
 }  // namespace
 
-void Node::save_state(snapshot::ArchiveWriter& out) const {
+void Node::save_state(snapshot::ArchiveWriter& out,
+                      const sdsrp::DropRecordTable* drops) const {
   out.begin_section("node");
   out.u32(id_);
   mobility_->save_state(out);
   buffer_.save_state(out);
   imt_.save_state(out);
-  dropped_.save_state(out);
+  dropped_.save_state(out, drops);
   write_id_set(out, delivered_);
   write_id_set(out, known_delivered_);
   out.u64(pinned_.size());
@@ -147,14 +148,15 @@ void Node::save_state(snapshot::ArchiveWriter& out) const {
   out.end_section();
 }
 
-void Node::load_state(snapshot::ArchiveReader& in) {
+void Node::load_state(snapshot::ArchiveReader& in,
+                      sdsrp::DropRecordTable* drops) {
   in.begin_section("node");
   const NodeId id = in.u32();
   DTN_REQUIRE(id == id_, "node: snapshot id does not match this node");
   mobility_->load_state(in);
   buffer_.load_state(in);
   imt_.load_state(in);
-  dropped_.load_state(in);
+  dropped_.load_state(in, drops);
   read_id_set(in, delivered_);
   read_id_set(in, known_delivered_);
   pinned_.clear();

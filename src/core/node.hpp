@@ -132,9 +132,12 @@ class Node {
                     const Message* newcomer_view = nullptr);
 
   /// Snapshot/restore of everything node-local: mobility, buffer, SDSRP
-  /// estimators, delivery bookkeeping, pin list and radio state.
-  void save_state(snapshot::ArchiveWriter& out) const;
-  void load_state(snapshot::ArchiveReader& in);
+  /// estimators, delivery bookkeeping, pin list and radio state. `drops`
+  /// is the fleet's shared drop-record table (checkpoints, archive v7),
+  /// or null to write and read each drop record in full.
+  void save_state(snapshot::ArchiveWriter& out,
+                  const sdsrp::DropRecordTable* drops) const;
+  void load_state(snapshot::ArchiveReader& in, sdsrp::DropRecordTable* drops);
 
  private:
   /// Shared victim-selection loop; `victims` receives resident victims in

@@ -811,7 +811,19 @@ void World::save_state(snapshot::ArchiveWriter& out) const {
   out.f64(now_);
   out.f64(next_occupancy_sample_);
   out.u64(nodes_.size());
-  for (const auto& n : nodes_) n->save_state(out);
+  // v7: a checkpoint writes each distinct drop record once, ahead of the
+  // nodes, and each node names its records by table index. A digest
+  // hashes every node's records in full (the v6 layout): which nodes
+  // share a record depends on the run's history, not on its state.
+  const bool shared_drops = !out.digest_only();
+  sdsrp::DropRecordTable drops;
+  if (shared_drops) {
+    for (const auto& n : nodes_) drops.add(n->dropped_list());
+    drops.save_state(out);
+  }
+  for (const auto& n : nodes_) {
+    n->save_state(out, shared_drops ? &drops : nullptr);
+  }
   tracker_.save_state(out);
   // Transfers are stored unordered (swap-pop removal); serialize sorted
   // by sender — unique per the radio-serialization invariant — so the
@@ -880,7 +892,13 @@ void World::load_state(snapshot::ArchiveReader& in) {
   const std::uint64_t n_nodes = in.u64();
   DTN_REQUIRE(n_nodes == nodes_.size(),
               "load_state: node count does not match this world");
-  for (auto& n : nodes_) n->load_state(in);
+  // Every node that names a table entry gets the same record, so the
+  // restored nodes share what the saved ones shared.
+  const bool shared_drops = in.version() >= 7;
+  sdsrp::DropRecordTable drops;
+  if (shared_drops) drops.load_state(in, nodes_.size());
+  for (auto& n : nodes_) n->load_state(in, shared_drops ? &drops : nullptr);
+  if (shared_drops) drops.require_all_named();
   tracker_.load_state(in, nodes_.size());
   transfers_.clear();
   // from, to, msg, started, eta

@@ -29,7 +29,8 @@ void write_shard_result(const std::string& dir, const ShardResult& result) {
     save_aggregate(w, agg);
   }
   w.end_section();
-  snapshot::write_archive_file(shard_result_path(dir, result.shard), w);
+  snapshot::write_archive_file(shard_result_path(dir, result.shard), w,
+                               kResultsArchiveVersion);
 }
 
 bool read_shard_result(const std::string& dir, std::size_t shard,
@@ -92,7 +93,7 @@ void write_results_file(const std::string& path, const SweepManifest& manifest,
   w.u64(manifest.replicas);
   for (const ReplicatedMetrics& agg : aggregates) save_aggregate(w, agg);
   w.end_section();
-  snapshot::write_archive_file(path, w);
+  snapshot::write_archive_file(path, w, kResultsArchiveVersion);
 }
 
 std::vector<ReplicatedMetrics> read_results_file(const std::string& path) {

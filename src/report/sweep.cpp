@@ -65,7 +65,7 @@ void write_done_marker(const std::string& path, const MetricPoint& p,
   w.f64(p.p95_latency);
   stats.save_state(w);
   w.end_section();
-  snapshot::write_archive_file(path, w);
+  snapshot::write_archive_file(path, w, kResultsArchiveVersion);
 }
 
 MetricPoint read_done_marker(const std::string& path, SimStats* stats_out) {

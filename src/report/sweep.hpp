@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -156,6 +157,15 @@ struct ReplicatedMetrics {
   friend bool operator==(const ReplicatedMetrics&,
                          const ReplicatedMetrics&) = default;
 };
+
+/// The archive version stamped on the sweep's result files: `.done`
+/// markers, shard results and results.bin. Their payloads (metrics,
+/// aggregates and SimStats) are laid out as in v6, which v7 changed only
+/// for world checkpoints, so they keep v6's header and with it their
+/// bytes: results.bin is compared byte for byte across worker counts and
+/// pinned by hash. Raise it, up to kArchiveVersion, only with a change
+/// to what these files hold.
+inline constexpr std::uint32_t kResultsArchiveVersion = 6;
 
 /// Canonical archive round-trip for aggregates (shard result files, the
 /// orchestrator's merged results file). The encoding is a pure function

@@ -8,6 +8,11 @@
 // record with the newest record time per owner. A node also rejects
 // re-receiving a message that is in its own dropped record, which prevents
 // the same node's drop being counted twice.
+//
+// Records are shared between the nodes that heard them, and a checkpoint
+// keeps that sharing: DropRecordTable writes each distinct record once
+// and each node's list names its records by table index (archive v7,
+// DESIGN.md §7).
 #pragma once
 
 #include <cstddef>
@@ -23,6 +28,8 @@ class ArchiveReader;
 }  // namespace dtn::snapshot
 
 namespace dtn::sdsrp {
+
+class DropRecordTable;
 
 /// One node's drop record as gossiped through the network. Records are
 /// immutable once stored and shared between nodes: a gossip merge adopts
@@ -64,14 +71,21 @@ class DroppedList {
 
   std::size_t known_records() const { return records_.size(); }
 
-  /// Snapshot/restore: serializes all known records in canonical (owner)
-  /// order; the counts_ index is rebuilt on load. load_state rejects a
-  /// stream whose owners or ids are not strictly ascending (a repeated
-  /// owner would otherwise inflate d̂).
-  void save_state(snapshot::ArchiveWriter& out) const;
-  void load_state(snapshot::ArchiveReader& in);
+  /// Snapshot/restore of all known records in canonical (owner) order;
+  /// the counts_ index is rebuilt on load. Without a table each record is
+  /// written in full (digests and archives v1–v6). With one, each record
+  /// is written as (owner, table index): `table` must have `add`ed this
+  /// list before the save, and on load it is the table read ahead of the
+  /// lists. load_state rejects a stream whose owners or ids are not
+  /// strictly ascending (a repeated owner would otherwise inflate d̂).
+  void save_state(snapshot::ArchiveWriter& out,
+                  const DropRecordTable* table = nullptr) const;
+  void load_state(snapshot::ArchiveReader& in,
+                  DropRecordTable* table = nullptr);
 
  private:
+  friend class DropRecordTable;
+
   struct Known {
     std::size_t owner;
     std::shared_ptr<const DropRecord> record;  ///< never null
@@ -90,6 +104,50 @@ class DroppedList {
   /// falls to 0 stays as a key (count_drops reads 0 either way), so a
   /// decrement leaves no tombstone behind.
   FlatTable<int> counts_;
+};
+
+/// Archive v7's drop-record table: each distinct record of a fleet's
+/// lists once, identified by address, in first-seen order (the lists of
+/// nodes 0..n-1 in turn, each in owner order). Each entry keeps its
+/// owner, so a list naming an entry under another owner is corrupt.
+/// Loading gives every list that names an entry the same record, so a
+/// restored fleet shares exactly the records the saved one shared.
+class DropRecordTable {
+ public:
+  /// Save side: appends the records of `list` that no list added before
+  /// holds.
+  void add(const DroppedList& list);
+
+  /// Distinct records: added on the save side, read on the load side.
+  std::size_t size() const { return entries_.size(); }
+
+  void save_state(snapshot::ArchiveWriter& out) const;
+  /// Reads a table whose owners must be nodes of a fleet of `fleet`, ids
+  /// strictly ascending in each record.
+  void load_state(snapshot::ArchiveReader& in, std::size_t fleet);
+  /// After every list has loaded: throws PreconditionError unless each
+  /// entry was named, so the restored fleet re-saves the same table.
+  void require_all_named() const;
+
+ private:
+  friend class DroppedList;
+
+  struct Entry {
+    std::uint32_t owner;
+    std::shared_ptr<const DropRecord> record;
+  };
+
+  /// Save side: the index `add` gave `rec`.
+  std::uint32_t index_of(const DropRecord& rec) const;
+  /// Load side: entry `index`, named by a list for `owner`. Lists name
+  /// entries in the order they were added, so an entry not named yet
+  /// must be the next one.
+  const std::shared_ptr<const DropRecord>& name(std::uint32_t owner,
+                                                std::uint32_t index);
+
+  std::vector<Entry> entries_;
+  FlatTable<std::uint32_t> index_;  ///< save side: record address -> entry
+  std::size_t named_ = 0;           ///< load side: entries named so far
 };
 
 }  // namespace dtn::sdsrp

@@ -1,6 +1,7 @@
 #include "src/sdsrp/intermeeting_estimator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/snapshot/archive.hpp"
@@ -165,6 +166,27 @@ void IntermeetingEstimator::load_state(snapshot::ArchiveReader& in) {
     peers_.push_back(p);
   }
   DTN_REQUIRE(next_open == n_open, "intermeeting: open peer was never seen");
+  // open_since_sum_ is the running sum of the open peers' last ends; it
+  // stays in the stream because digests hash it. The run built it by one
+  // rounded addition or subtraction per contact event (a repeated end
+  // rounds `now - last_end` first), so with contact times never
+  // decreasing, each rounding is within 2^-53 of a result whose magnitude
+  // is at most (P + 1)·T: at most P open ends plus the value applied,
+  // where P is the number of peers met and T the latest time held. After
+  // K events the running sum is within 2K·2^-53·(P + 1)·T of the exact
+  // sum, and summing the restored ends here adds less than
+  // P·2^-53·P·T. For K and P below 2^31 both fit in 2^-20·(P + 1)·T;
+  // a sum outside it does not describe these peers.
+  double exact_sum = 0.0;
+  double latest = 0.0;
+  for (const Peer& p : peers_) {
+    latest = std::max({latest, std::abs(p.last_seen), std::abs(p.last_end)});
+    if (p.open) exact_sum += p.last_end;
+  }
+  const double bound =
+      std::ldexp(static_cast<double>(peers_.size() + 1) * latest, -20);
+  DTN_REQUIRE(std::abs(open_since_sum_ - exact_sum) <= bound,
+              "intermeeting: open-interval sum does not match open peers");
   in.end_section();
 }
 

@@ -152,11 +152,14 @@ std::uint64_t take_le(const std::uint8_t* in, int width) {
 
 }  // namespace
 
-void write_archive_file(const std::string& path, const ArchiveWriter& w) {
+void write_archive_file(const std::string& path, const ArchiveWriter& w,
+                        std::uint32_t version) {
+  DTN_REQUIRE(version >= kArchiveMinVersion && version <= kArchiveVersion,
+              "archive: cannot write version " + std::to_string(version));
   const std::vector<std::uint8_t>& payload = w.bytes();
   std::uint8_t head[kHeaderBytes];
   put_le(head, kArchiveMagic, 4);
-  put_le(head + 4, kArchiveVersion, 4);
+  put_le(head + 4, version, 4);
   put_le(head + 8, payload.size(), 8);
   std::uint8_t trailer[kTrailerBytes];
   put_le(trailer, w.digest(), 8);

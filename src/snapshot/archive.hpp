@@ -33,6 +33,10 @@ namespace dtn::snapshot {
 /// version on any layout change; readers reject archives whose version
 /// they do not understand (no silent best-effort decoding).
 inline constexpr std::uint32_t kArchiveMagic = 0x534E5444u;  // "DTNS" LE
+// v7: shared drop records — a checkpoint writes each distinct SDSRP drop
+// record once, in a "drop-records" table ahead of the nodes, and each
+// node's dropped list names its records by table index
+// (src/sdsrp/dropped_list.hpp). Digests keep hashing the v6 layout.
 // v6: element-framed pipeline policy state — CompositePolicy brackets
 // each element's bytes with its name in a "pipeline-policy" section
 // (src/pipeline/composite_policy.cpp). Only checkpoints of worlds built
@@ -43,7 +47,7 @@ inline constexpr std::uint32_t kArchiveMagic = 0x534E5444u;  // "DTNS" LE
 // event-driven core kinetic state; v2: priority cache.)
 // Since v4, readers accept any older version: each load_state consults
 // ArchiveReader::version() and skips sections the writer predates.
-inline constexpr std::uint32_t kArchiveVersion = 6;
+inline constexpr std::uint32_t kArchiveVersion = 7;
 inline constexpr std::uint32_t kArchiveMinVersion = 1;
 
 /// Streaming 64-bit FNV-1a.
@@ -227,16 +231,20 @@ class ArchiveReader {
   int depth_ = 0;
 };
 
-/// Writes the archive as a framed file: magic, version, payload length,
+/// Writes the archive as a framed file: magic, `version`, payload length,
 /// payload, FNV-1a digest trailer (hashed here, in one pass over the
-/// writer's buffer, which is written without a copy). The write goes
+/// writer's buffer, which is written without a copy). `version` is the
+/// layout the payload was written in: the current one unless the file
+/// kind kept an older one (the sweep's result files, see
+/// kResultsArchiveVersion in src/report/sweep.hpp). The write goes
 /// through a temporary file + rename so a crash mid-write never leaves a
 /// half checkpoint at `path`; if the write or the rename fails, the
 /// temporary file is removed before the PreconditionError is thrown. The
 /// writer must be in buffer mode with balanced sections, and must not be
 /// modified until the call returns (run_scenario calls it on a helper
 /// thread).
-void write_archive_file(const std::string& path, const ArchiveWriter& w);
+void write_archive_file(const std::string& path, const ArchiveWriter& w,
+                        std::uint32_t version = kArchiveVersion);
 
 /// Reads and validates a framed archive file (magic, version, length,
 /// digest) in one read sized from the file length; the payload moves into

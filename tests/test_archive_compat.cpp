@@ -1,16 +1,17 @@
 // Archive backward compatibility.
 //
-// tests/fixtures/ holds small checkpoints written by the actual v1–v6
+// tests/fixtures/ holds small checkpoints written by the actual v1–v7
 // code (generated from the historical commits; see fixtures/manifest.txt).
 // The current reader must restore each one bit-for-bit (pinned restore
 // digest) and resume it to the end of the run deterministically (pinned
 // end digest).
 //
-// v2–v6 additionally must finish *equal to a current cold run*: what
+// v2–v7 additionally must finish *equal to a current cold run*: what
 // those versions added (idle memo, kinetic contact bookkeeping, fault
 // state defaults, arena sizing hints) is derived-but-deterministic
-// state, so losing it cannot change decisions. v6 is the current
-// version, so the current writer must also reproduce it byte for byte.
+// state, so losing it cannot change decisions, and v7 only changes how
+// shared drop records are written. v7 is the current version, so the
+// current writer must also reproduce it byte for byte.
 // v1 predates the priority cache, so a v1 resume legitimately diverges
 // from a warm-cache cold run (staleness within the refresh quantum); its
 // end digest is pinned instead.
@@ -98,7 +99,8 @@ INSTANTIATE_TEST_SUITE_P(Versions, ArchiveCompat,
                                            "v3_rwp_sdsrp.ckpt",
                                            "v4_rwp_sdsrp.ckpt",
                                            "v5_rwp_sdsrp.ckpt",
-                                           "v6_rwp_sdsrp.ckpt"),
+                                           "v6_rwp_sdsrp.ckpt",
+                                           "v7_rwp_sdsrp.ckpt"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param).substr(0, 2);
                          });
@@ -109,7 +111,7 @@ TEST(ArchiveCompat, DerivedStateVersionsFinishEqualToColdRun) {
   const std::uint64_t cold_digest = cold->digest();
   for (const char* file :
        {"v2_rwp_sdsrp.ckpt", "v3_rwp_sdsrp.ckpt", "v4_rwp_sdsrp.ckpt",
-        "v5_rwp_sdsrp.ckpt", "v6_rwp_sdsrp.ckpt"}) {
+        "v5_rwp_sdsrp.ckpt", "v6_rwp_sdsrp.ckpt", "v7_rwp_sdsrp.ckpt"}) {
     auto restored = snapshot::restore_checkpoint(
         std::string(DTN_FIXTURE_DIR) + "/" + file);
     restored.world->run();
@@ -118,26 +120,56 @@ TEST(ArchiveCompat, DerivedStateVersionsFinishEqualToColdRun) {
   }
 }
 
+std::size_t distinct_drop_records(const World& world) {
+  sdsrp::DropRecordTable table;
+  for (NodeId n = 0; n < world.node_count(); ++n) {
+    table.add(world.node(n).dropped_list());
+  }
+  return table.size();
+}
+
+// v6 wrote every node's copy of a shared drop record, so its restore
+// holds one record per (node, owner); v7 restores the saved sharing.
+// Both describe the same state, so both restore to the same digest.
+TEST(ArchiveCompat, V7RestoreSharesWhatV6RestoreCopies) {
+  const Scenario sc = fixture_scenario();
+  auto world = build_world(sc);
+  world->run_until(2000.0);
+  std::size_t references = 0;
+  for (NodeId n = 0; n < world->node_count(); ++n) {
+    references += world->node(n).dropped_list().known_records();
+  }
+  const std::size_t shared = distinct_drop_records(*world);
+  ASSERT_LT(shared, references);
+  const auto v6 = snapshot::restore_checkpoint(
+      std::string(DTN_FIXTURE_DIR) + "/v6_rwp_sdsrp.ckpt");
+  const auto v7 = snapshot::restore_checkpoint(
+      std::string(DTN_FIXTURE_DIR) + "/v7_rwp_sdsrp.ckpt");
+  EXPECT_EQ(distinct_drop_records(*v6.world), references);
+  EXPECT_EQ(distinct_drop_records(*v7.world), shared);
+  EXPECT_EQ(v6.world->digest(), v7.world->digest());
+}
+
 std::vector<char> file_bytes(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   return std::vector<char>((std::istreambuf_iterator<char>(is)),
                            std::istreambuf_iterator<char>());
 }
 
-// v6 is the current format: saving the fixture world at the fixture's
+// v7 is the current format: saving the fixture world at the fixture's
 // time must reproduce the committed file byte for byte, trailer included,
 // so any change to the writer that moves a byte fails here.
-TEST(ArchiveCompat, CurrentWriterReproducesV6Fixture) {
+TEST(ArchiveCompat, CurrentWriterReproducesV7Fixture) {
   const Scenario sc = fixture_scenario();
   auto world = build_world(sc);
   world->run_until(2000.0);
-  const std::string path = ::testing::TempDir() + "v6_rewrite.ckpt";
+  const std::string path = ::testing::TempDir() + "v7_rewrite.ckpt";
   snapshot::save_checkpoint(path, sc, *world);
   const std::vector<char> fixture =
-      file_bytes(std::string(DTN_FIXTURE_DIR) + "/v6_rwp_sdsrp.ckpt");
+      file_bytes(std::string(DTN_FIXTURE_DIR) + "/v7_rwp_sdsrp.ckpt");
   ASSERT_FALSE(fixture.empty());
   EXPECT_TRUE(file_bytes(path) == fixture)
-      << "current writer no longer reproduces v6_rwp_sdsrp.ckpt";
+      << "current writer no longer reproduces v7_rwp_sdsrp.ckpt";
   std::remove(path.c_str());
 }
 

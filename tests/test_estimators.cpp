@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -183,18 +184,21 @@ using Peers = std::vector<std::pair<std::uint64_t, double>>;
 
 // A hand-built "imt-estimator" section with no samples, `open_count` open
 // intervals, and the open (last end) and last-seen peers in the given
-// order.
-std::vector<std::uint8_t> estimator_section(std::uint64_t open_count,
-                                            const Peers& last_end,
-                                            const Peers& last_seen) {
+// order. The open-interval sum is the open peers' last ends unless
+// `open_since_sum` overrides it.
+std::vector<std::uint8_t> estimator_section(
+    std::uint64_t open_count, const Peers& last_end, const Peers& last_seen,
+    std::optional<double> open_since_sum = std::nullopt) {
   snapshot::ArchiveWriter w;
   w.begin_section("imt-estimator");
   snapshot::write_running_stats(w, RunningStats{});
   w.f64(0.0);  // closed exposure
   w.u64(open_count);
-  double open_since_sum = 0.0;
-  for (const auto& [peer, t] : last_end) open_since_sum += t;
-  w.f64(open_since_sum);
+  if (!open_since_sum) {
+    open_since_sum = 0.0;
+    for (const auto& [peer, t] : last_end) *open_since_sum += t;
+  }
+  w.f64(*open_since_sum);
   for (const Peers* peers : {&last_end, &last_seen}) {
     w.u64(peers->size());
     for (const auto& [peer, t] : *peers) {
@@ -207,9 +211,10 @@ std::vector<std::uint8_t> estimator_section(std::uint64_t open_count,
 }
 
 void load(IntermeetingEstimator& e, std::uint64_t open_count,
-          const Peers& last_end, const Peers& last_seen) {
+          const Peers& last_end, const Peers& last_seen,
+          std::optional<double> open_since_sum = std::nullopt) {
   snapshot::ArchiveReader in(
-      estimator_section(open_count, last_end, last_seen));
+      estimator_section(open_count, last_end, last_seen, open_since_sum));
   e.load_state(in);
 }
 
@@ -259,6 +264,22 @@ TEST(IntermeetingEstimatorState, RejectsOpenPeerNeverSeen) {
   EXPECT_THROW(load(e, 2, {{1, 10.0}, {4, 20.0}}, {{4, 20.0}}),
                PreconditionError);
   EXPECT_THROW(load(e, 1, {{4, 20.0}}, {}), PreconditionError);
+}
+
+TEST(IntermeetingEstimatorState, RejectsOpenSumThatDisagrees) {
+  // One peer whose contact ended at 10 s and has not re-met: the running
+  // sum of open last ends is 10. A sum of 5000 used to load, and the
+  // censored MLE then read E(I) = 100 s instead of 1,090 s at 1,000 s.
+  const Peers open = {{3, 10.0}};
+  IntermeetingEstimator e(1000.0, 1);
+  EXPECT_THROW(load(e, 1, open, open, 5000.0), PreconditionError);
+  EXPECT_THROW(load(e, 1, open, open, 9.0), PreconditionError);
+  EXPECT_THROW(load(e, 0, {}, open, 10.0), PreconditionError);
+  EXPECT_THROW(load(e, 1, open, open, std::nan("")), PreconditionError);
+  load(e, 1, open, open, 10.0);
+  // A sum that a run's rounding could leave behind still loads.
+  load(e, 1, open, open, std::nextafter(10.0, 11.0));
+  load(e, 0, {}, open, 1e-12);
 }
 
 // The estimator as it kept its peers before the flat layout: one hash map

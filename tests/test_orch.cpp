@@ -21,6 +21,7 @@
 #include "src/orch/wire.hpp"
 #include "src/orch/worker.hpp"
 #include "src/report/sweep.hpp"
+#include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
 #include "src/util/units.hpp"
 
@@ -274,6 +275,18 @@ TEST(Worker, WireLoopServesLeases) {
 }
 
 // --- in-process sweeps: lanes must not change bytes ---
+
+TEST(InProcess, ResultFilesKeepTheirArchiveVersion) {
+  // results.bin's bytes, header included, are pinned by hash: a layout
+  // change that only world checkpoints see (archive v7) must not restamp
+  // the sweep's result files.
+  const std::string dir = fresh_dir("orch_version");
+  orch::run_sweep_inprocess(tiny_manifest(), dir, {});
+  EXPECT_EQ(snapshot::read_archive_file(orch::results_path(dir)).version(),
+            kResultsArchiveVersion);
+  EXPECT_EQ(kResultsArchiveVersion, 6u);
+  EXPECT_LT(kResultsArchiveVersion, snapshot::kArchiveVersion);
+}
 
 TEST(InProcess, LaneCountDoesNotChangeResultBytes) {
   const SweepManifest m = tiny_manifest();

@@ -346,6 +346,26 @@ TEST(SnapshotFile, RouterStateSurvivesRoundTrip) {
   EXPECT_EQ(restored.world->digest(), cold->digest());
 }
 
+TEST(SnapshotFile, FineStepRunLoadsAtEverySave) {
+  // Each node's open-interval sum is a running sum of contact times that
+  // a 0.3 s step leaves inexact, and a restore checks it against the
+  // restored open peers. Every save of a Table II run must pass.
+  Scenario sc = Scenario::random_waypoint_paper();
+  sc.world.step = 0.3;
+  sc.estimator.imt_mode = sdsrp::ImtEstimatorMode::kCensoredMle;
+  auto world = build_world(sc);
+  for (const double t : {1500.0, 4500.0, 9000.0, 13500.0, 18000.0}) {
+    world->run_until(t);
+    snapshot::ArchiveWriter out;
+    snapshot::save_world(out, sc, *world);
+    snapshot::ArchiveReader in(out.bytes());
+    std::unique_ptr<World> restored;
+    ASSERT_NO_THROW(restored = snapshot::restore_world(in).world)
+        << "t = " << world->now();
+    EXPECT_EQ(restored->digest(), world->digest()) << "t = " << world->now();
+  }
+}
+
 // --- archive v3: event-driven core state ---
 
 TEST(SnapshotV3, SaveLandsMidTransferAndRestoresBitIdentical) {
@@ -468,23 +488,36 @@ std::vector<std::uint8_t> payload_of(const std::string& path) {
   return {file.begin() + kFileHeaderBytes, file.end() - 8};
 }
 
+// Rewrites the framed file at `path` around `payload`: its magic and
+// version, the payload's length, the payload and a trailer that hashes
+// it, so the file passes every framing check.
+void reframe(const std::string& path,
+             const std::vector<std::uint8_t>& payload) {
+  const std::vector<char> file = file_bytes(path);
+  ASSERT_GE(file.size(), kFileHeaderBytes);
+  std::vector<std::uint8_t> out(file.begin(), file.begin() + 8);
+  for (const std::vector<std::uint8_t>& part :
+       {little_endian(payload.size(), 8), payload}) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  snapshot::Fnv1a h;
+  h.update(payload.data(), payload.size());
+  const std::vector<std::uint8_t> trailer = little_endian(h.digest(), 8);
+  out.insert(out.end(), trailer.begin(), trailer.end());
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(out.data()),
+          static_cast<std::streamsize>(out.size()));
+}
+
 // Overwrites the `width`-byte value whose tag byte `tag` is at payload
-// offset `at` and re-hashes the trailer, so the file still passes every
-// framing check.
+// offset `at` and re-frames the file.
 void patch_value(const std::string& path, std::size_t at, std::uint8_t tag,
                  std::uint64_t v, int width) {
   std::vector<std::uint8_t> payload = payload_of(path);
   ASSERT_EQ(payload.at(at), tag) << "not the expected tag";
   const std::vector<std::uint8_t> value = tagged(tag, v, width);
   std::copy(value.begin(), value.end(), payload.begin() + at);
-  snapshot::Fnv1a h;
-  h.update(payload.data(), payload.size());
-  const std::vector<std::uint8_t> trailer = little_endian(h.digest(), 8);
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(kFileHeaderBytes);
-  f.write(reinterpret_cast<const char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  f.write(reinterpret_cast<const char*>(trailer.data()), 8);
+  reframe(path, payload);
 }
 
 void patch_u64(const std::string& path, std::size_t at, std::uint64_t v) {
@@ -698,6 +731,416 @@ TEST(CorruptCheckpoint, Fig3PairsRepeatedOrBeyondTheFleetThrow) {
         << "second pair (" << first << ", " << second << ")";
   }
   std::remove(path.c_str());
+}
+
+// --- archive v7: the shared drop-record table ---
+
+// Distinct drop records the world's nodes hold: the size of the table a
+// checkpoint of it writes.
+std::size_t distinct_drop_records(const World& world) {
+  sdsrp::DropRecordTable table;
+  for (NodeId n = 0; n < world.node_count(); ++n) {
+    table.add(world.node(n).dropped_list());
+  }
+  return table.size();
+}
+
+std::size_t drop_record_references(const World& world) {
+  std::size_t refs = 0;
+  for (NodeId n = 0; n < world.node_count(); ++n) {
+    refs += world.node(n).dropped_list().known_records();
+  }
+  return refs;
+}
+
+TEST(SnapshotV7, RestoreSharesTheSavedRecordsAndResavesTheSameBytes) {
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  const double half = sc.world.duration / 2.0;
+  auto cold = build_world(sc);
+  cold->run();
+
+  auto first = build_world(sc);
+  first->run_until(half);
+  const std::size_t distinct = distinct_drop_records(*first);
+  ASSERT_GT(distinct, 10u);
+  ASSERT_LT(2 * distinct, drop_record_references(*first))
+      << "the save point must hold shared records";
+  snapshot::ArchiveWriter saved;
+  snapshot::save_world(saved, sc, *first);
+  first.reset();
+
+  snapshot::ArchiveReader in(saved.bytes());
+  auto restored = snapshot::restore_world(in);
+  EXPECT_EQ(distinct_drop_records(*restored.world), distinct);
+  snapshot::ArchiveWriter resaved;
+  snapshot::save_world(resaved, sc, *restored.world);
+  EXPECT_TRUE(resaved.bytes() == saved.bytes())
+      << "a restored world re-saves other bytes";
+  restored.world->run();
+  EXPECT_EQ(restored.world->digest(), cold->digest());
+}
+
+TEST(SnapshotV7, DigestHashesEveryRecordInFull) {
+  // A digest writes each node's records in full, as archive v6 did, and
+  // a checkpoint writes each shared record once: the digest describes the
+  // state, not which nodes came to share a record.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  snapshot::ArchiveWriter hashed(snapshot::ArchiveWriter::Mode::kDigestOnly);
+  world->save_state(hashed);
+  EXPECT_EQ(hashed.digest(), world->digest());
+  snapshot::ArchiveWriter saved;
+  world->save_state(saved);
+  EXPECT_GT(hashed.bytes_written(), saved.bytes_written());
+}
+
+// Where a v7 checkpoint keeps its drop records: payload offsets of the
+// tag bytes of the table's values and of each node's references.
+struct DropLayout {
+  struct Entry {
+    std::size_t owner_at = 0;
+    std::uint32_t owner = 0;
+    std::vector<std::size_t> id_at;
+    std::vector<std::uint64_t> ids;
+  };
+  struct Ref {
+    std::size_t owner_at = 0;
+    std::size_t index_at = 0;
+    std::uint32_t owner = 0;
+    std::uint32_t index = 0;
+  };
+  std::size_t table_at = 0;  ///< the table's section begin
+  std::size_t count_at = 0;
+  std::vector<Entry> entries;
+  std::size_t table_end_at = 0;
+  std::vector<std::size_t> list_at;   ///< each node's section begin
+  std::vector<std::size_t> list_end;  ///< one past its section end
+  std::vector<std::size_t> refs_count_at;
+  std::vector<std::vector<Ref>> refs;  ///< per node
+};
+
+std::uint64_t value_at(const std::vector<std::uint8_t>& payload,
+                       std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(payload.at(at + 1 + i)) << (8 * i);
+  }
+  return v;
+}
+
+std::vector<std::size_t> section_offsets(
+    const std::vector<std::uint8_t>& payload, const std::string& name) {
+  std::vector<std::uint8_t> pattern = tagged(0x08, name.size(), 8);
+  pattern.insert(pattern.end(), name.begin(), name.end());
+  std::vector<std::size_t> found;
+  for (auto it = payload.begin();
+       (it = std::search(it, payload.end(), pattern.begin(),
+                         pattern.end())) != payload.end();
+       ++it) {
+    found.push_back(static_cast<std::size_t>(it - payload.begin()));
+  }
+  return found;
+}
+
+DropLayout drop_layout(const std::vector<std::uint8_t>& payload,
+                       std::size_t fleet) {
+  DropLayout l;
+  const std::vector<std::size_t> tables =
+      section_offsets(payload, "drop-records");
+  EXPECT_EQ(tables.size(), 1u);
+  l.table_at = tables.at(0);
+  std::size_t at = l.table_at + 9 + 12;
+  l.count_at = at;
+  const std::uint64_t n_entries = value_at(payload, at, 8);
+  at += 9;
+  for (std::uint64_t e = 0; e < n_entries; ++e) {
+    DropLayout::Entry entry;
+    entry.owner_at = at;
+    entry.owner = static_cast<std::uint32_t>(value_at(payload, at, 4));
+    at += 5 + 9;  // owner, record time
+    const std::uint64_t n_ids = value_at(payload, at, 8);
+    at += 9;
+    for (std::uint64_t i = 0; i < n_ids; ++i, at += 9) {
+      entry.id_at.push_back(at);
+      entry.ids.push_back(value_at(payload, at, 8));
+    }
+    l.entries.push_back(entry);
+  }
+  l.table_end_at = at;
+  EXPECT_EQ(payload.at(at), 0x09);
+  l.list_at = section_offsets(payload, "dropped-list");
+  EXPECT_EQ(l.list_at.size(), fleet);
+  for (const std::size_t list : l.list_at) {
+    at = list + 9 + 12 + 9;  // section begin, the list's owner
+    l.refs_count_at.push_back(at);
+    const std::uint64_t n_refs = value_at(payload, at, 8);
+    at += 9;
+    std::vector<DropLayout::Ref> refs;
+    for (std::uint64_t r = 0; r < n_refs; ++r, at += 10) {
+      refs.push_back(DropLayout::Ref{
+          at, at + 5, static_cast<std::uint32_t>(value_at(payload, at, 4)),
+          static_cast<std::uint32_t>(value_at(payload, at + 5, 4))});
+    }
+    EXPECT_EQ(payload.at(at), 0x09);
+    l.refs.push_back(refs);
+    l.list_end.push_back(at + 1);
+  }
+  return l;
+}
+
+// A v7 checkpoint of the small RWP world at 2,000 s, with its layout.
+struct V7Checkpoint {
+  std::string path;
+  std::vector<std::uint8_t> payload;
+  DropLayout layout;
+  std::size_t fleet = 0;
+};
+
+V7Checkpoint v7_checkpoint(const std::string& name) {
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(2000.0);
+  V7Checkpoint c;
+  c.path = temp_path(name);
+  snapshot::save_checkpoint(c.path, sc, *world);
+  c.payload = payload_of(c.path);
+  c.fleet = world->node_count();
+  c.layout = drop_layout(c.payload, c.fleet);
+  EXPECT_EQ(c.layout.entries.size(), distinct_drop_records(*world));
+  return c;
+}
+
+// Restoring `path` throws PreconditionError whose message names `why`.
+void expect_rejected(const std::string& path, const std::string& why) {
+  try {
+    snapshot::restore_checkpoint(path);
+    ADD_FAILURE() << "restored; expected: " << why;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << "rejected for another reason: " << e.what();
+  }
+}
+
+TEST(V7Decoder, LayoutRoundTripsUnpatched) {
+  const V7Checkpoint c = v7_checkpoint("v7_plain.ckpt");
+  std::size_t refs = 0;
+  for (const auto& list : c.layout.refs) refs += list.size();
+  ASSERT_GT(c.layout.entries.size(), 10u);
+  ASSERT_GT(refs, 2 * c.layout.entries.size());
+  reframe(c.path, c.payload);
+  EXPECT_NO_THROW(snapshot::restore_checkpoint(c.path));
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, IndexBeyondTheTableThrows) {
+  const V7Checkpoint c = v7_checkpoint("v7_index.ckpt");
+  const auto size = static_cast<std::uint32_t>(c.layout.entries.size());
+  for (const std::uint32_t index : {size, 4'000'000'000u}) {
+    reframe(c.path, c.payload);
+    patch_u32(c.path, c.layout.refs.back().back().index_at, index);
+    expect_rejected(c.path, "index beyond the table");
+  }
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, ReferencesRepeatedOrOutOfOwnerOrderThrow) {
+  const V7Checkpoint c = v7_checkpoint("v7_order.ckpt");
+  // A list with two references whose first owner is not node 0.
+  const DropLayout::Ref* first = nullptr;
+  const DropLayout::Ref* second = nullptr;
+  for (const auto& list : c.layout.refs) {
+    if (list.size() >= 2 && list[0].owner > 0) {
+      first = &list[0];
+      second = &list[1];
+      break;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  for (const std::uint32_t owner : {first->owner, first->owner - 1}) {
+    reframe(c.path, c.payload);
+    patch_u32(c.path, second->owner_at, owner);
+    expect_rejected(c.path, "owners repeated or out of order");
+  }
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, ReferenceToAnEntryOfAnotherOwnerThrows) {
+  const V7Checkpoint c = v7_checkpoint("v7_owner.ckpt");
+  // A reference after the first one (which names entry 0), pointed at
+  // entry 0, whose owner is another node.
+  std::vector<const DropLayout::Ref*> refs;
+  for (const auto& list : c.layout.refs) {
+    for (const DropLayout::Ref& r : list) refs.push_back(&r);
+  }
+  ASSERT_FALSE(refs.empty());
+  ASSERT_EQ(refs[0]->index, 0u);
+  const auto victim =
+      std::find_if(refs.begin() + 1, refs.end(), [&](const auto* r) {
+        return r->owner != c.layout.entries[0].owner;
+      });
+  ASSERT_NE(victim, refs.end());
+  reframe(c.path, c.payload);
+  patch_u32(c.path, (*victim)->index_at, 0);
+  expect_rejected(c.path, "entry of another owner");
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, EntryNoListNamesThrows) {
+  const V7Checkpoint c = v7_checkpoint("v7_unnamed.ckpt");
+  // One more entry at the end of the table: owner 0, no ids.
+  std::vector<std::uint8_t> payload = c.payload;
+  std::vector<std::uint8_t> entry = tagged(0x02, 0, 4);
+  for (const std::vector<std::uint8_t>& part :
+       {tagged(0x05, std::bit_cast<std::uint64_t>(1.0), 8),
+        tagged(0x03, 0, 8)}) {
+    entry.insert(entry.end(), part.begin(), part.end());
+  }
+  payload.insert(payload.begin() +
+                     static_cast<std::ptrdiff_t>(c.layout.table_end_at),
+                 entry.begin(), entry.end());
+  const std::vector<std::uint8_t> count =
+      tagged(0x03, c.layout.entries.size() + 1, 8);
+  std::copy(count.begin(), count.end(),
+            payload.begin() + static_cast<std::ptrdiff_t>(c.layout.count_at));
+  reframe(c.path, payload);
+  expect_rejected(c.path, "an entry that no list names");
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, EntriesOutOfFirstSeenOrderThrow) {
+  // The first reference names the table's last entry instead of its
+  // first: the table was not written in the order the lists name it.
+  const V7Checkpoint c = v7_checkpoint("v7_first_seen.ckpt");
+  const DropLayout::Ref* first = nullptr;
+  for (const auto& list : c.layout.refs) {
+    if (!list.empty()) {
+      first = &list[0];
+      break;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  ASSERT_EQ(first->index, 0u);
+  reframe(c.path, c.payload);
+  patch_u32(c.path, first->index_at,
+            static_cast<std::uint32_t>(c.layout.entries.size() - 1));
+  expect_rejected(c.path, "out of first-seen order");
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, OwnerOutsideTheFleetThrows) {
+  const V7Checkpoint c = v7_checkpoint("v7_fleet.ckpt");
+  const auto n = static_cast<std::uint32_t>(c.fleet);
+  for (const std::uint32_t owner : {n, 4'000'000'000u}) {
+    reframe(c.path, c.payload);
+    patch_u32(c.path, c.layout.entries.back().owner_at, owner);
+    expect_rejected(c.path, "owner outside the fleet");
+  }
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, IdsNotStrictlyAscendingThrow) {
+  const V7Checkpoint c = v7_checkpoint("v7_ids.ckpt");
+  const DropLayout::Entry* entry = nullptr;
+  for (const DropLayout::Entry& e : c.layout.entries) {
+    if (e.ids.size() >= 2 && e.ids[0] > 0) {
+      entry = &e;
+      break;
+    }
+  }
+  ASSERT_NE(entry, nullptr);
+  for (const std::uint64_t second : {entry->ids[0], entry->ids[0] - 1}) {
+    reframe(c.path, c.payload);
+    patch_u64(c.path, entry->id_at[1], second);
+    expect_rejected(c.path, "message ids not strictly ascending");
+  }
+  std::remove(c.path.c_str());
+}
+
+TEST(V7Decoder, MutatedTableAndReferencesLoadOrThrow) {
+  // Seeded truncations, bit flips and inflated counts, indices and owners
+  // inside the table and the lists that name it, each re-framed with a
+  // valid trailer so it reaches the decoder. Every mutant must load or
+  // throw PreconditionError: no crash, no std::bad_alloc, no hang (the
+  // sanitizer build runs this too). One that loads must re-save the bytes
+  // it was loaded from, as the decoder accepts only the canonical form.
+  const V7Checkpoint c = v7_checkpoint("v7_fuzz.ckpt");
+  const DropLayout& l = c.layout;
+  std::vector<std::size_t> counts = {l.count_at};
+  std::vector<std::size_t> u32s;
+  for (const DropLayout::Entry& e : l.entries) {
+    u32s.push_back(e.owner_at);
+    counts.push_back(e.owner_at + 5 + 9);
+  }
+  for (std::size_t n = 0; n < l.refs.size(); ++n) {
+    counts.push_back(l.refs_count_at[n]);
+    for (const DropLayout::Ref& r : l.refs[n]) {
+      u32s.push_back(r.owner_at);
+      u32s.push_back(r.index_at);
+    }
+  }
+  // The bytes a flip or a cut may land in: the table's section and each
+  // list's.
+  std::vector<std::size_t> drop_bytes;
+  for (std::size_t at = l.table_at; at <= l.table_end_at; ++at) {
+    drop_bytes.push_back(at);
+  }
+  for (std::size_t n = 0; n < l.list_at.size(); ++n) {
+    for (std::size_t at = l.list_at[n]; at < l.list_end[n]; ++at) {
+      drop_bytes.push_back(at);
+    }
+  }
+  Rng rng(2026);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto in_drop_bytes = [&] { return drop_bytes[pick(drop_bytes.size())]; };
+  int loaded = 0;
+  int rejected = 0;
+  for (int m = 0; m < 400; ++m) {
+    std::vector<std::uint8_t> payload = c.payload;
+    const int kind = m % 4;
+    if (kind == 0) {  // truncation
+      payload.resize(in_drop_bytes());
+    } else if (kind == 1) {  // bit flips
+      for (int f = 1 + static_cast<int>(pick(3)); f > 0; --f) {
+        payload[in_drop_bytes()] ^=
+            static_cast<std::uint8_t>(1u << pick(8));
+      }
+    } else {
+      // An inflated or arbitrary count (u64), or index or owner (u32).
+      const bool wide = kind == 2;
+      const std::size_t at = wide ? counts[pick(counts.size())]
+                                  : u32s[pick(u32s.size())];
+      const int width = wide ? 8 : 4;
+      const std::uint64_t old = value_at(payload, at, width);
+      const std::uint64_t mask =
+          wide ? ~std::uint64_t{0} : std::uint64_t{0xFFFFFFFF};
+      const std::uint64_t choices[] = {
+          old + 1, old - 1, old + 1 + pick(8), std::uint64_t{1} << pick(64),
+          mask, rng.next_u64()};
+      const std::uint64_t v = choices[pick(6)] & mask;
+      const std::vector<std::uint8_t> bytes =
+          tagged(payload[at], v, width);
+      std::copy(bytes.begin(), bytes.end(),
+                payload.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    reframe(c.path, payload);
+    try {
+      auto restored = snapshot::restore_checkpoint(c.path);
+      ++loaded;
+      snapshot::ArchiveWriter resaved;
+      snapshot::save_world(resaved, restored.scenario, *restored.world);
+      EXPECT_TRUE(resaved.bytes() == payload) << "mutant " << m;
+
+    } catch (const PreconditionError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(loaded + rejected, 400);
+  EXPECT_GT(rejected, 200);
+  std::remove(c.path.c_str());
 }
 
 // --- digest determinism regression ---
