@@ -59,7 +59,10 @@ Settings Scenario::to_settings() const {
   s.set("World.ackGossip", world.ack_gossip ? "true" : "false");
   s.set("World.priorityCache", world.priority_cache ? "true" : "false");
   put_d("World.priorityRefreshS", world.priority_refresh_s);
-  s.set("World.legacyStep", world.legacy_step ? "true" : "false");
+  // The removed scan-based step loop's switch (DESIGN.md §9), always
+  // off. Still written: checkpoint fixtures embed this text, and
+  // scenario fingerprints and manifests hash it.
+  s.set("World.legacyStep", "false");
   // Inert (the step is serial; DESIGN.md §6), but still written so
   // settings text, scenario fingerprints and checkpoints stay byte-stable.
   put_i("Parallel.threads", static_cast<std::int64_t>(world.threads));
@@ -125,8 +128,9 @@ Scenario Scenario::from_settings(const Settings& s) {
       s.get_bool_or("World.priorityCache", sc.world.priority_cache);
   sc.world.priority_refresh_s =
       s.get_double_or("World.priorityRefreshS", sc.world.priority_refresh_s);
-  sc.world.legacy_step =
-      s.get_bool_or("World.legacyStep", sc.world.legacy_step);
+  DTN_REQUIRE(!s.get_bool_or("World.legacyStep", false),
+              "World.legacyStep = true selects the scan-based step loop, "
+              "which no longer exists; remove the key or set it false");
   sc.world.threads = static_cast<std::size_t>(s.get_int_or(
       "Parallel.threads", static_cast<std::int64_t>(sc.world.threads)));
   sc.n_nodes = static_cast<std::size_t>(

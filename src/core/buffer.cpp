@@ -136,26 +136,4 @@ void Buffer::load_state(snapshot::ArchiveReader& in) {
   in.end_section();
 }
 
-std::vector<Message> Buffer::purge_expired(
-    SimTime now, const std::vector<MessageId>& pinned) {
-  std::vector<Message> removed;
-  auto is_pinned = [&pinned](MessageId id) {
-    return std::find(pinned.begin(), pinned.end(), id) != pinned.end();
-  };
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < handles_.size(); ++i) {
-    const Handle h = handles_[i];
-    const Message& m = arena_->get(h);
-    if (m.expired(now) && !is_pinned(m.id)) {
-      set_used(used() - m.size);
-      bump_revision();
-      removed.push_back(arena_->release(h));
-    } else {
-      handles_[keep++] = h;  // compact, preserving arrival order
-    }
-  }
-  handles_.resize(keep);
-  return removed;
-}
-
 }  // namespace dtn

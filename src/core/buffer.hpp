@@ -123,11 +123,6 @@ class Buffer {
   /// Removes and returns the message; precondition: it exists.
   Message take(MessageId id);
 
-  /// Removes every message with expiry <= now, except ids in `pinned`
-  /// (in-flight transfers); returns the removed messages.
-  std::vector<Message> purge_expired(SimTime now,
-                                     const std::vector<MessageId>& pinned);
-
   /// Messages in arrival order.
   View messages() const { return View(&handles_, arena_); }
 

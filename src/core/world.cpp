@@ -72,10 +72,6 @@ void World::push_expiry(NodeId node_id, SimTime expiry, MessageId msg) {
 void World::configure_kinetics() {
   kinetics_configured_ = true;
   prepare_capacity();
-  if (cfg_.legacy_step) {
-    tracker_.set_motion_bound(-1.0);  // full contact pass every step
-    return;
-  }
   double v_max = 0.0;
   for (const auto& n : nodes_) {
     v_max = std::max(v_max, n->mobility().max_speed());
@@ -181,8 +177,7 @@ void World::step() {
     // Fault events land first so the availability flags are current for
     // this step; the live-set diff then replaces the raw tracker churn —
     // geometric and fault-induced link changes flow through the same
-    // process_link_down/up handlers, in the same sorted order, in both
-    // step modes, so legacy parity is structural.
+    // process_link_down/up handlers, in the same sorted order.
     apply_fault_events();
     refresh_live_contacts();
   }
@@ -438,27 +433,10 @@ void World::abort_transfer_from(NodeId from_id, NodeId to_id) {
 }
 
 void World::complete_due_transfers() {
-  if (cfg_.legacy_step) {
-    // Completion order: by eta, then sender id — deterministic.
-    legacy_due_.clear();
-    for (const Transfer& t : transfers_) {
-      if (t.eta <= now_ + 1e-9) legacy_due_.push_back(t);
-    }
-    std::sort(legacy_due_.begin(), legacy_due_.end(),
-              [](const Transfer& a, const Transfer& b) {
-                if (a.eta != b.eta) return a.eta < b.eta;
-                return a.from < b.from;
-              });
-    for (const Transfer& t : legacy_due_) remove_transfer(t.from);
-    for (const Transfer& t : legacy_due_) handle_completion(t);
-    return;
-  }
-  // Event-driven path: drain the ETA heap, which pops in exactly the
-  // legacy (eta, from) order. Stale entries — transfers aborted since
-  // they were scheduled — fail the seq check and are discarded.
-  // Interleaving removal with handling is equivalent to the legacy
-  // remove-all-then-handle: a completion handler never reads other
-  // in-flight transfers, and pinned sender copies are eviction-immune.
+  // Drains the ETA heap: due transfers complete in (eta, from) order —
+  // the sender is unique among in-flight transfers, so the order is
+  // total and the run deterministic. Stale entries — transfers aborted
+  // since they were scheduled — fail the seq check and are discarded.
   while (!eta_heap_.empty() && eta_heap_.front().eta <= now_ + 1e-9) {
     std::pop_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
     const EtaEvent e = eta_heap_.back();
@@ -560,7 +538,7 @@ void World::handle_completion(const Transfer& t) {
   ++stats_.transfers_completed;
   notify([&t](WorldObserver& o) { o.on_transfer_completed(t, false); });
   registry_.on_copy_received(id, t.to);
-  if (!cfg_.legacy_step) push_expiry(t.to, relay_expiry, id);
+  push_expiry(t.to, relay_expiry, id);
   for (const Message& ev : res.evicted) handle_drop(to, ev);
   const bool keep = router_->on_sent(*copy, /*delivered=*/false, now_);
   // on_sent halves/decrements the sender's copy tokens and appends the
@@ -602,32 +580,17 @@ bool World::admit_at_source(Message&& m) {
     if (policy_->uses_dropped_list()) source.record_drop(id, now_);
     return false;
   }
-  if (!cfg_.legacy_step) push_expiry(src, expiry, id);
+  push_expiry(src, expiry, id);
   for (const Message& ev : res.evicted) handle_drop(source, ev);
   return true;
 }
 
 void World::purge_ttl() {
-  if (cfg_.legacy_step) {
-    for (auto& n : nodes_) {
-      for (const Message& dead :
-           n->buffer().purge_expired(now_, n->pinned())) {
-        n->priority_cache().invalidate(dead.id);
-        registry_.on_copy_removed(dead.id, n->id(), /*dropped=*/false);
-        ++stats_.ttl_expired;
-        notify(
-            [&](WorldObserver& o) { o.on_ttl_expired(n->id(), dead, now_); });
-      }
-    }
-    return;
-  }
-  // Event-driven path: only due entries are touched. A popped entry may
-  // be stale (the copy was dropped, forwarded away or already purged —
-  // lazy invalidation) or pinned by an in-flight transfer (the legacy
-  // scan skips those too; re-queue after the drain and retry next step).
-  // Per-step purge *order* differs from the legacy per-node scan, but
-  // every removal lands in order-insensitive state (buffer membership,
-  // registry sets, counters), so the end-of-step digest is identical.
+  // Only due entries are touched. A popped entry may be stale (the copy
+  // was dropped, forwarded away or already purged — lazy invalidation)
+  // or pinned by an in-flight transfer. A pinned copy is re-queued after
+  // the drain: it dies when its transfer ends (handle_completion), or at
+  // the first drain after an abort unpins it.
   expiry_deferred_.clear();
   while (!expiry_heap_.empty() && expiry_heap_.front().expiry <= now_) {
     std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), &expiry_after);
@@ -713,10 +676,8 @@ void World::try_start(NodeId from_id, NodeId to_id) {
   t.seq = transfer_seq_++;
   outgoing_[from_id] = static_cast<std::int64_t>(transfers_.size());
   transfers_.push_back(t);
-  if (!cfg_.legacy_step) {
-    eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});
-    std::push_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
-  }
+  eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});
+  std::push_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
   ++stats_.transfers_started;
   notify([&t](WorldObserver& o) { o.on_transfer_started(t); });
 }
@@ -827,9 +788,9 @@ void World::save_state(snapshot::ArchiveWriter& out) const {
   tracker_.save_state(out);
   // Transfers are stored unordered (swap-pop removal); serialize sorted
   // by sender — unique per the radio-serialization invariant — so the
-  // bytes depend only on simulation state, not removal history, and the
-  // legacy and event-driven paths hash identically. `seq` is derived
-  // bookkeeping and is reassigned on load.
+  // bytes depend only on simulation state, not removal history: a
+  // restored run, which loads them in this order, hashes like the
+  // uninterrupted one. `seq` is derived bookkeeping, reassigned on load.
   out.u64(transfers_.size());
   std::vector<std::size_t> order(transfers_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -991,17 +952,13 @@ void World::rebuild_event_queues() {
                 "load_state: in-flight transfer's sender does not hold and "
                 "pin its message");
     outgoing_[t.from] = static_cast<std::int64_t>(i);
-    if (!cfg_.legacy_step) {
-      eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});
-    }
+    eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});
   }
   std::make_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
   expiry_heap_.clear();
-  if (!cfg_.legacy_step) {
-    for (const auto& n : nodes_) {
-      for (const Message& m : n->buffer().messages()) {
-        expiry_heap_.push_back(ExpiryEvent{m.expiry(), n->id(), m.id});
-      }
+  for (const auto& n : nodes_) {
+    for (const Message& m : n->buffer().messages()) {
+      expiry_heap_.push_back(ExpiryEvent{m.expiry(), n->id(), m.id});
     }
   }
   std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), &expiry_after);

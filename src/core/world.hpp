@@ -56,13 +56,6 @@ struct WorldConfig {
   /// of TTL-decay staleness for the hot-path speedup. The quantum also
   /// bounds how long an idle contact pair may be skipped outright.
   double priority_refresh_s = 15.0;
-  /// Escape hatch: run the original scan-based step loop (full-buffer TTL
-  /// scans, transfer-vector scans, a full contact pass every step)
-  /// instead of the event-driven core (DESIGN.md §9: expiry/ETA heaps +
-  /// kinetic contact skipping). Both paths are decision-identical —
-  /// `World::digest()` trajectories match bit-for-bit — so this exists
-  /// for the equivalence tests and benchmarks, not as a feature switch.
-  bool legacy_step = false;
   /// Inert: every step runs one serial body; parallelism lives across
   /// runs (DESIGN.md §6, §11). Carries the `Parallel.threads` scenario
   /// key so scenario text and checkpoints round-trip unchanged.
@@ -302,7 +295,6 @@ class World {
   // --- step-loop scratch, hoisted so a steady-state step allocates
   // nothing (asserted in test_step_loop) ---
   std::vector<Message> traffic_scratch_;   ///< generate_traffic: poll output
-  std::vector<Transfer> legacy_due_;       ///< legacy completion scan
   std::vector<NodeId> fault_senders_;      ///< apply_fault_events: sorted view
   std::vector<MessageId> doomed_scratch_;  ///< purge_acked / purge_on_reboot
   /// Candidate selection's lists, lent to routers, policies and nodes

@@ -26,9 +26,9 @@
 // The plan is pure bookkeeping: it flips its own availability flags and
 // schedules successor events; every side effect on the simulation
 // (tearing links, aborting transfers, purging buffers, stats) is applied
-// by the World, which drains `pop_due` once per step in both the
-// event-driven and legacy step loops — parity between the two modes is
-// structural, not re-proven per feature.
+// by the World, which drains `pop_due` once per step, before it turns
+// the step's link changes into events — so every fault side effect goes
+// through the same handlers as geometric churn.
 #pragma once
 
 #include <cstdint>

@@ -134,8 +134,8 @@ void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
     out.u64(p.second);
   }
   // Kinetic bookkeeping is derived-but-deterministic state: skipped in
-  // digests (the legacy and event-driven paths must hash identically),
-  // carried in checkpoints so a restored run skips the same steps.
+  // digests, which hash what the world is, not how the tracker reached
+  // it; carried in checkpoints so a restored run skips the same steps.
   if (!out.digest_only()) {
     out.f64(slack_);
     out.f64(budget_);

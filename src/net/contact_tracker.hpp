@@ -64,7 +64,8 @@ class ContactTracker {
   /// Configures kinetic contact skipping from a fleet-wide per-step
   /// motion bound (meters a node can move in one update):
   ///   * bound < 0 or non-finite — skipping disabled; every update runs a
-  ///     full grid pass at exactly `range` (the legacy behavior);
+  ///     full grid pass at exactly `range` (a fleet with a model that
+  ///     reports no finite speed bound);
   ///   * bound == 0 — stationary fleet; slack is `range` (maximal);
   ///   * bound > 0 — slack is min(range, 32 * bound), i.e. full passes
   ///     are at least ~16 steps apart while the geometry allows it.

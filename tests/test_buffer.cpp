@@ -104,35 +104,6 @@ TEST(Buffer, ArrivalOrderPreserved) {
   EXPECT_EQ(b.messages()[2].id, 2u);
 }
 
-TEST(Buffer, PurgeExpiredRemovesOnlyExpired) {
-  MessageArena arena;
-  Buffer b(1000, arena);
-  b.try_insert(msg(1, 100, 0.0, 50.0));   // expires at 50
-  b.try_insert(msg(2, 100, 0.0, 200.0));  // expires at 200
-  const auto removed = b.purge_expired(100.0, {});
-  ASSERT_EQ(removed.size(), 1u);
-  EXPECT_EQ(removed[0].id, 1u);
-  EXPECT_TRUE(b.has(2));
-  EXPECT_EQ(b.used(), 100);
-}
-
-TEST(Buffer, PurgeSkipsPinned) {
-  MessageArena arena;
-  Buffer b(1000, arena);
-  b.try_insert(msg(1, 100, 0.0, 50.0));
-  const auto removed = b.purge_expired(100.0, {1});
-  EXPECT_TRUE(removed.empty());
-  EXPECT_TRUE(b.has(1));
-}
-
-TEST(Buffer, PurgeAtExactExpiryRemoves) {
-  MessageArena arena;
-  Buffer b(1000, arena);
-  b.try_insert(msg(1, 100, 0.0, 50.0));
-  const auto removed = b.purge_expired(50.0, {});
-  EXPECT_EQ(removed.size(), 1u);
-}
-
 TEST(MessageAccessors, TtlArithmetic) {
   const Message m = msg(1, 100, 10.0, 40.0);
   EXPECT_DOUBLE_EQ(m.expiry(), 50.0);

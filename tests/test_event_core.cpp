@@ -1,10 +1,10 @@
 // Event-driven simulation core (DESIGN.md §9): the expiry/ETA heap step
-// loop with kinetic contact skipping must be decision-identical to the
-// legacy scan-everything loop. The proof mirrors the priority-cache
-// equivalence suite: World::digest() trajectories — hashing the complete
-// dynamic state — must coincide sample for sample on both paper
-// scenarios under all four paper policies, plus targeted edge cases the
-// big runs would only hit by accident (teleports, expiry while pinned).
+// loop with kinetic contact skipping. The paper scenarios' digest
+// trajectories are pinned, under the step oracle, in
+// test_golden_digests; this suite covers the edge cases those runs would
+// only hit by accident (teleports, expiry while pinned, abort
+// tombstones), with the oracle attached, and the settings key of the
+// removed scan-based step loop.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,68 +16,11 @@
 #include "src/core/world.hpp"
 #include "src/mobility/stationary.hpp"
 #include "src/routing/spray_and_wait.hpp"
+#include "src/util/error.hpp"
+#include "tests/support/step_oracle.hpp"
 
 namespace dtn {
 namespace {
-
-std::vector<std::uint64_t> digest_trajectory(Scenario sc, bool legacy) {
-  sc.world.legacy_step = legacy;
-  auto w = build_world(sc);
-  std::vector<std::uint64_t> digests;
-  for (double t = 300.0; t <= sc.world.duration + 1e-9; t += 300.0) {
-    w->run_until(t);
-    digests.push_back(w->digest());
-  }
-  return digests;
-}
-
-struct EquivalenceCase {
-  const char* scenario;  // "rwp" | "taxi"
-  const char* policy;
-  double duration;
-};
-
-class EventCoreEquivalence
-    : public ::testing::TestWithParam<EquivalenceCase> {};
-
-TEST_P(EventCoreEquivalence, DigestTrajectoryMatchesLegacy) {
-  const EquivalenceCase& pc = GetParam();
-  Scenario sc = std::string(pc.scenario) == "rwp"
-                    ? Scenario::random_waypoint_paper()
-                    : Scenario::taxi_paper();
-  sc.policy = pc.policy;
-  sc.world.duration = pc.duration;
-  EXPECT_EQ(digest_trajectory(sc, /*legacy=*/false),
-            digest_trajectory(sc, /*legacy=*/true));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PaperScenarios, EventCoreEquivalence,
-    ::testing::Values(EquivalenceCase{"rwp", "fifo", 1800.0},
-                      EquivalenceCase{"rwp", "ttl-ratio", 1800.0},
-                      EquivalenceCase{"rwp", "copies-ratio", 1800.0},
-                      EquivalenceCase{"rwp", "sdsrp", 1800.0},
-                      EquivalenceCase{"taxi", "fifo", 1500.0},
-                      EquivalenceCase{"taxi", "ttl-ratio", 1500.0},
-                      EquivalenceCase{"taxi", "copies-ratio", 1500.0},
-                      EquivalenceCase{"taxi", "sdsrp", 1500.0}),
-    [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
-      std::string name = std::string(info.param.scenario) + "_" +
-                         info.param.policy;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
-
-TEST(EventCoreEquivalence, TightBuffersExerciseDropPath) {
-  // Saturated buffers force evictions, source rejections and dropped-list
-  // gossip — the paths where expiry-heap tombstones accumulate fastest.
-  Scenario sc = Scenario::random_waypoint_paper();
-  sc.world.duration = 1500.0;
-  sc.buffer_capacity = 1'250'000;
-  EXPECT_EQ(digest_trajectory(sc, false), digest_trajectory(sc, true));
-}
 
 // --- scripted-topology edge cases ---
 
@@ -118,6 +61,8 @@ TEST(EventCoreKinetics, TeleportDefeatsContactSkipping) {
   cfg.range = 10.0;
   cfg.bandwidth = 100.0;
   auto w = stationary_world(cfg, {{0, 0}, {500, 0}});
+  StepOracle oracle;
+  w->add_observer(&oracle);
   ASSERT_TRUE(w->inject_message(msg(1, 0, 1)));
   w->run_until(50.0);  // long skip streak while out of range
   EXPECT_EQ(w->stats().delivered, 0u);
@@ -129,6 +74,7 @@ TEST(EventCoreKinetics, TeleportDefeatsContactSkipping) {
   mob.move_to({500, 0});  // and back out: the link must drop
   w->run_until(60.0);
   EXPECT_FALSE(w->contacts().in_contact(0, 1));
+  EXPECT_EQ(oracle.violations(), 0u) << oracle.report();
 }
 
 TEST(EventCoreKinetics, SkippingActuallyEngagesOnPaperScenario) {
@@ -144,36 +90,30 @@ TEST(EventCoreKinetics, SkippingActuallyEngagesOnPaperScenario) {
   EXPECT_LT(t.full_pass_count(), t.update_count() / 2);
 }
 
-TEST(EventCoreKinetics, LegacyStepRunsFullPassEveryStep) {
-  Scenario sc = Scenario::random_waypoint_paper();
-  sc.world.duration = 300.0;
-  sc.world.legacy_step = true;
-  auto w = build_world(sc);
-  w->run();
-  EXPECT_EQ(w->contacts().full_pass_count(), w->contacts().update_count());
-}
-
-TEST(EventCoreHeaps, ExpiryWhilePinnedIsDeferredLikeLegacy) {
-  // A message expiring mid-transfer is pinned: the heap must defer it (as
-  // the legacy scan skips pinned copies) and the in-flight-death path in
-  // handle_completion must account it exactly once, in both modes.
-  for (const bool legacy : {false, true}) {
-    WorldConfig cfg;
-    cfg.step = 1.0;
-    cfg.duration = 100.0;
-    cfg.range = 10.0;
-    cfg.bandwidth = 10.0;  // 100-byte message -> 10 s transfer
-    cfg.legacy_step = legacy;
-    auto w = stationary_world(cfg, {{0, 0}, {5, 0}});
-    // Expires at t = 5, mid-flight of the transfer starting at t = 1.
-    ASSERT_TRUE(w->inject_message(msg(1, 0, 1, 4, 0.0, /*ttl=*/5.0)));
-    w->run_until(20.0);
-    EXPECT_EQ(w->stats().ttl_expired, 1u) << "legacy=" << legacy;
-    EXPECT_EQ(w->stats().delivered, 0u) << "legacy=" << legacy;
-    EXPECT_FALSE(w->node(0).buffer().has(1));
-    EXPECT_EQ(w->stats().transfers_started,
-              w->stats().transfers_completed + w->stats().transfers_aborted);
-  }
+TEST(EventCoreHeaps, ExpiryWhilePinnedWaitsForTransferEnd) {
+  // A message expiring mid-transfer is pinned: the expiry heap defers it
+  // until the transfer ends, and the in-flight-death path in
+  // handle_completion accounts it exactly once.
+  WorldConfig cfg;
+  cfg.step = 1.0;
+  cfg.duration = 100.0;
+  cfg.range = 10.0;
+  cfg.bandwidth = 10.0;  // 100-byte message -> 10 s transfer
+  auto w = stationary_world(cfg, {{0, 0}, {5, 0}});
+  StepOracle oracle;
+  w->add_observer(&oracle);
+  // Expires at t = 5, mid-flight of the transfer starting at t = 1.
+  ASSERT_TRUE(w->inject_message(msg(1, 0, 1, 4, 0.0, /*ttl=*/5.0)));
+  w->run_until(8.0);
+  EXPECT_TRUE(w->node(0).is_pinned(1)) << "copy purged mid-flight";
+  EXPECT_EQ(w->stats().ttl_expired, 0u);
+  w->run_until(20.0);
+  EXPECT_EQ(w->stats().ttl_expired, 1u);
+  EXPECT_EQ(w->stats().delivered, 0u);
+  EXPECT_FALSE(w->node(0).buffer().has(1));
+  EXPECT_EQ(w->stats().transfers_started,
+            w->stats().transfers_completed + w->stats().transfers_aborted);
+  EXPECT_EQ(oracle.violations(), 0u) << oracle.report();
 }
 
 TEST(EventCoreHeaps, AbortTombstonesDoNotCompleteLater) {
@@ -186,6 +126,8 @@ TEST(EventCoreHeaps, AbortTombstonesDoNotCompleteLater) {
   cfg.range = 10.0;
   cfg.bandwidth = 10.0;
   auto w = stationary_world(cfg, {{0, 0}, {5, 0}});
+  StepOracle oracle;
+  w->add_observer(&oracle);
   ASSERT_TRUE(w->inject_message(msg(1, 0, 1)));
   w->run_until(5.0);
   ASSERT_EQ(w->transfers_in_flight().size(), 1u);
@@ -199,14 +141,30 @@ TEST(EventCoreHeaps, AbortTombstonesDoNotCompleteLater) {
   EXPECT_EQ(w->stats().delivered, 1u);
   EXPECT_EQ(w->stats().transfers_started,
             w->stats().transfers_completed + w->stats().transfers_aborted);
+  EXPECT_EQ(oracle.violations(), 0u) << oracle.report();
 }
 
-TEST(EventCoreConfig, LegacyStepRoundTripsThroughSettings) {
-  Scenario sc = Scenario::random_waypoint_paper();
-  sc.world.legacy_step = true;
-  const Scenario back = Scenario::from_settings(sc.to_settings());
-  EXPECT_TRUE(back.world.legacy_step);
-  EXPECT_FALSE(Scenario::random_waypoint_paper().world.legacy_step);
+TEST(EventCoreConfig, LegacyStepKeyReadsFalseOrAbsentOnly) {
+  // The scan-based step loop is gone, but its key stays in the settings
+  // text as `false`: checkpoint fixtures embed that text, and scenario
+  // fingerprints and manifests hash it.
+  Settings s = Scenario::random_waypoint_paper().to_settings();
+  EXPECT_EQ(s.get_string("World.legacyStep"), "false");
+  EXPECT_EQ(Scenario::from_settings(s).to_settings().to_text(), s.to_text());
+
+  Settings absent;
+  absent.set("World.nodes", "24");
+  EXPECT_EQ(Scenario::from_settings(absent).n_nodes, 24u);
+
+  s.set("World.legacyStep", "true");
+  try {
+    (void)Scenario::from_settings(s);
+    ADD_FAILURE() << "World.legacyStep = true was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("World.legacyStep"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Fault-injection subsystem tests.
 //
 // Load-bearing properties: a faulty run is exactly as deterministic as a
-// fault-free one (same seed => same digest trajectory), the legacy and
-// event-driven step loops agree decision-for-decision under faults, a
-// checkpoint taken mid-outage resumes bit-identically, and the
+// fault-free one (same seed => same digest trajectory), a checkpoint
+// taken mid-outage resumes bit-identically, and the
 // started == completed + aborted + in-flight accounting identity holds
-// throughout.
+// throughout. The four fault worlds' digest trajectories are pinned,
+// under the step oracle, in test_golden_digests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,35 +16,10 @@
 #include "src/fault/fault_plan.hpp"
 #include "src/report/sweep.hpp"
 #include "src/snapshot/checkpoint.hpp"
+#include "tests/support/shared_worlds.hpp"
 
 namespace dtn {
 namespace {
-
-// Scaled-down Table II world with every fault mechanism active.
-Scenario faulty_scenario(const std::string& policy,
-                         const std::string& which = "rwp") {
-  Scenario sc = which == "taxi" ? Scenario::taxi_paper()
-                                : Scenario::random_waypoint_paper();
-  sc.n_nodes = 24;
-  sc.world.duration = 4000.0;
-  sc.rwp.area = Rect::sized(1500.0, 1200.0);
-  sc.traffic.interval_min = 30.0;
-  sc.traffic.interval_max = 40.0;
-  sc.traffic.ttl = 2000.0;
-  sc.traffic.initial_copies = 8;
-  sc.policy = policy;
-  sc.seed = 7;
-  sc.fault.enabled = true;
-  sc.fault.churn_fraction = 0.5;
-  sc.fault.mean_up_s = 600.0;
-  sc.fault.mean_down_s = 300.0;
-  sc.fault.link_abort_rate_per_hour = 60.0;
-  sc.fault.degrade_rate_per_hour = 6.0;
-  sc.fault.degrade_duration_s = 120.0;
-  sc.fault.degrade_range_factor = 0.6;
-  sc.fault.degrade_bitrate_factor = 0.5;
-  return sc;
-}
 
 std::vector<std::uint64_t> digest_trajectory(const Scenario& sc) {
   auto world = build_world(sc);
@@ -243,18 +218,6 @@ TEST(FaultDeterminism, FaultsChangeTheRunButNotTheTrafficSchedule) {
 }
 
 class FaultPolicies : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(FaultPolicies, EventAndLegacyStepAgreeUnderFaults) {
-  Scenario sc = faulty_scenario(GetParam());
-  Scenario legacy = sc;
-  legacy.world.legacy_step = true;
-  const auto ev = digest_trajectory(sc);
-  const auto lg = digest_trajectory(legacy);
-  ASSERT_EQ(ev.size(), lg.size());
-  for (std::size_t i = 0; i < ev.size(); ++i) {
-    EXPECT_EQ(ev[i], lg[i]) << "step modes diverged at sample " << i;
-  }
-}
 
 TEST_P(FaultPolicies, MidOutageRestoreMatchesUninterrupted) {
   const Scenario sc = faulty_scenario(GetParam());

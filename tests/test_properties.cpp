@@ -212,17 +212,18 @@ INSTANTIATE_TEST_SUITE_P(Policies, DeterminismProperty,
                          bare_policy_name);
 
 // Model-based fuzz of Buffer + Node::admit against a naive reference
-// model. The model is a plain map id -> (size, expiry) plus a pinned
-// set; it does not predict *which* victim a policy evicts (that is the
-// policy's business) but it pins down everything structural:
+// model. The model is a plain map id -> size plus a pinned set; it does
+// not predict *which* victim a policy evicts (that is the policy's
+// business) but it pins down everything structural:
 //   * byte accounting is exact after every operation;
 //   * `Buffer::revision()` is monotonic and bumps exactly once per
-//     membership change (inserts, takes, evictions, purge removals);
-//   * pinned messages are never evicted by admission and never purged;
+//     membership change (inserts, takes, evictions);
+//   * pinned messages are never evicted by admission;
 //   * `would_admit` is a faithful dry run of `admit` (deterministic
 //     policies only — RandomPolicy draws from its stream per decision);
-//   * a rejected admission leaves the buffer untouched;
-//   * `purge_expired` removes exactly the expired unpinned residents.
+//   * a rejected admission leaves the buffer untouched.
+// TTL expiry is the World's job; the step oracle checks it there
+// (tests/support/step_oracle.hpp).
 class BufferModelFuzz : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
@@ -255,11 +256,7 @@ TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
     Node node(0, std::make_unique<StationaryModel>(Vec2{0.0, 0.0}), kCapacity,
               &router, policy.get(), arena);
 
-    struct Entry {
-      std::int64_t size = 0;
-      SimTime expiry = 0.0;
-    };
-    std::map<MessageId, Entry> model;
+    std::map<MessageId, std::int64_t> model;  // id -> size
     std::set<MessageId> pinned;
 
     Rng rng(seed * 7919 + 1);
@@ -283,7 +280,7 @@ TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
       ctx.node = &node;
       const double roll = rng.uniform01();
 
-      if (roll < 0.50) {  // admit a fresh message
+      if (roll < 0.55) {  // admit a fresh message
         Message m;
         m.id = next_id++;
         m.source = 1;
@@ -307,55 +304,40 @@ TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
         }
         std::size_t bumps = res.evicted.size();
         if (res.admitted) {
-          model[probe.id] = Entry{probe.size, probe.expiry()};
+          model[probe.id] = probe.size;
           ++bumps;
         } else {
           EXPECT_TRUE(res.evicted.empty())
               << "rejected admission must not evict";
         }
         EXPECT_EQ(node.buffer().revision(), last_rev + bumps);
-      } else if (roll < 0.65 && !model.empty()) {  // take (transfer/drop)
+      } else if (roll < 0.75 && !model.empty()) {  // take (transfer/drop)
         const MessageId id = pick(model).first;
         if (pinned.count(id) > 0) {
           node.unpin(id);
           pinned.erase(id);
         }
         const Message gone = node.buffer().take(id);
-        EXPECT_EQ(gone.size, model[id].size);
+        EXPECT_EQ(gone.size, model[id]);
         model.erase(id);
         EXPECT_EQ(node.buffer().revision(), last_rev + 1);
-      } else if (roll < 0.75 && !model.empty()) {  // pin (transfer start)
+      } else if (roll < 0.875 && !model.empty()) {  // pin (transfer start)
         const MessageId id = pick(model).first;
         if (pinned.count(id) == 0) {
           node.pin(id);
           pinned.insert(id);
         }
         EXPECT_TRUE(node.is_pinned(id));
-      } else if (roll < 0.85 && !pinned.empty()) {  // unpin (transfer end)
+      } else if (!pinned.empty()) {  // unpin (transfer end)
         const MessageId id = pick(pinned);
         node.unpin(id);
         pinned.erase(id);
         EXPECT_FALSE(node.is_pinned(id));
-      } else {  // TTL purge
-        const auto removed = node.buffer().purge_expired(now, node.pinned());
-        for (const Message& r : removed) {
-          EXPECT_EQ(pinned.count(r.id), 0u) << "purged pinned msg " << r.id;
-          ASSERT_EQ(model.count(r.id), 1u);
-          EXPECT_LE(model[r.id].expiry, now);
-          model.erase(r.id);
-        }
-        EXPECT_EQ(node.buffer().revision(), last_rev + removed.size());
-        // Completeness: no expired unpinned resident survives.
-        for (const auto& [id, e] : model) {
-          if (pinned.count(id) == 0) {
-            EXPECT_GT(e.expiry, now) << "msg " << id;
-          }
-        }
       }
 
       // Structural invariants after every operation.
       std::int64_t used = 0;
-      for (const auto& [id, e] : model) used += e.size;
+      for (const auto& [id, size] : model) used += size;
       EXPECT_EQ(node.buffer().used(), used);
       EXPECT_EQ(node.buffer().count(), model.size());
       EXPECT_LE(node.buffer().used(), node.buffer().capacity());
@@ -363,10 +345,10 @@ TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
       for (MessageId id : pinned) {
         EXPECT_TRUE(node.buffer().has(id)) << "pinned msg " << id << " lost";
       }
-      for (const auto& [id, e] : model) {
+      for (const auto& [id, size] : model) {
         const Message* m = node.buffer().find(id);
         ASSERT_NE(m, nullptr) << "model msg " << id << " missing";
-        EXPECT_EQ(m->size, e.size);
+        EXPECT_EQ(m->size, size);
       }
       last_rev = node.buffer().revision();
     }

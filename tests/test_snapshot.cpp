@@ -427,28 +427,6 @@ TEST(SnapshotV3, KineticSkipScheduleSurvivesRestore) {
   EXPECT_LT(passes_second_half, restored.world->contacts().update_count());
 }
 
-TEST(SnapshotV3, LegacyStepModeRoundTrips) {
-  Scenario sc = small_paper("taxi", "sdsrp");
-  sc.world.legacy_step = true;
-  const double half = sc.world.duration / 2.0;
-
-  auto cold = build_world(sc);
-  cold->run();
-
-  auto first = build_world(sc);
-  first->run_until(half);
-  snapshot::ArchiveWriter out;
-  snapshot::save_world(out, sc, *first);
-  first.reset();
-
-  snapshot::ArchiveReader in(out.bytes());
-  auto restored = snapshot::restore_world(in);
-  restored.world->run();
-  EXPECT_EQ(restored.world->digest(), cold->digest());
-  EXPECT_EQ(restored.world->contacts().full_pass_count(),
-            restored.world->contacts().update_count());
-}
-
 // --- stream counts that would size an allocation ---
 
 TEST(Archive, CountPastTheBytesLeftThrows) {

@@ -1,6 +1,6 @@
-// The serial step loop's own guarantees, beyond what the golden pins and
-// the legacy-vs-event suite cover: a mass TTL expiry purges exactly like
-// the legacy scan, mid-run checkpoints resume digest-equal, an attached
+// The serial step loop's own guarantees, beyond what the golden pins
+// cover: a mass TTL expiry purges every copy in the step it dies (under
+// the step oracle), mid-run checkpoints resume digest-equal, an attached
 // observer changes neither the digest trajectory nor the step path, the
 // steady-state step loop — SDSRP candidate selection included —
 // performs no heap allocation, the first step reserves nothing per
@@ -26,6 +26,8 @@
 #include "src/routing/spray_and_wait.hpp"
 #include "src/snapshot/checkpoint.hpp"
 #include "src/util/rng.hpp"
+#include "tests/support/shared_worlds.hpp"
+#include "tests/support/step_oracle.hpp"
 
 // Counts every global allocation so the steady-state tests below can
 // assert the step loop performs none once warm. ASan owns operator
@@ -71,53 +73,18 @@ std::vector<std::uint64_t> digest_trajectory(const Scenario& sc) {
   return digests;
 }
 
-Message short_ttl_msg(MessageId id, NodeId src, NodeId dst, double ttl) {
-  Message m;
-  m.id = id;
-  m.source = src;
-  m.destination = dst;
-  m.size = 10;
-  m.created = 0.0;
-  m.ttl = ttl;
-  m.copies = 1;  // wait phase: no spraying, buffers stay put
-  m.initial_copies = 1;
-  m.received = 0.0;
-  return m;
-}
-
-TEST(MassExpiry, HeapDrainMatchesLegacyScan) {
-  // Hundreds of copies dying in one step: the event core's expiry-heap
-  // drain must purge every one and land in the same state as the legacy
-  // per-buffer scan.
-  std::vector<std::uint64_t> digests;
-  for (const bool legacy : {false, true}) {
-    WorldConfig cfg;
-    cfg.step = 1.0;
-    cfg.duration = 200.0;
-    cfg.range = 10.0;
-    cfg.bandwidth = 1e9;
-    cfg.legacy_step = legacy;
-    auto w = std::make_unique<World>(cfg);
-    w->set_router(std::make_unique<SprayAndWaitRouter>());
-    w->set_policy(std::make_unique<FifoPolicy>());
-    // 8 isolated nodes, far out of range: no transfers, pure TTL churn.
-    for (int i = 0; i < 8; ++i) {
-      w->add_node(std::make_unique<StationaryModel>(
-                      Vec2{static_cast<double>(i) * 1000.0, 0.0}),
-                  1'000'000);
-    }
-    MessageId id = 1;
-    for (NodeId n = 0; n < 8; ++n) {
-      for (int k = 0; k < 40; ++k) {  // 320 copies expiring at t=50
-        ASSERT_TRUE(w->inject_message(
-            short_ttl_msg(id++, n, (n + 1) % 8, /*ttl=*/50.0)));
-      }
-    }
-    w->run_until(60.0);
-    EXPECT_EQ(w->stats().ttl_expired, 320u) << "legacy=" << legacy;
-    digests.push_back(w->digest());
-  }
-  EXPECT_EQ(digests[0], digests[1]);
+TEST(MassExpiry, HeapDrainPurgesEveryCopyInItsStep) {
+  // Hundreds of copies dying in one step: the expiry-heap drain must
+  // purge every one, and in the step its TTL runs out — the oracle finds
+  // any copy that outlives it. tests/golden/trajectories.txt pins this
+  // world's digests ("mass-expiry").
+  auto w = mass_expiry_world();
+  StepOracle oracle;
+  w->add_observer(&oracle);
+  w->run_until(60.0);
+  EXPECT_EQ(w->stats().ttl_expired, 320u);
+  EXPECT_EQ(oracle.steps(), 60u);
+  EXPECT_EQ(oracle.violations(), 0u) << oracle.report();
 }
 
 /// Runs `sc` to its horizon, checkpointing to `path` at half time;
@@ -423,8 +390,12 @@ TEST(StepLoopScratch, SdsrpCandidateSelectionDoesNotAllocate) {
   MessageId next_id = 1;
   for (NodeId src : {NodeId{0}, NodeId{1}}) {
     for (int k = 0; k < 10; ++k) {  // 10 × 100 bytes: each buffer is full
-      Message m = short_ttl_msg(next_id++, src, 2, 50'000.0);
+      Message m;
+      m.id = next_id++;
+      m.source = src;
+      m.destination = 2;
       m.size = 100;
+      m.ttl = 50'000.0;
       m.copies = m.initial_copies = src == 0 ? 4 : 1;
       ASSERT_TRUE(w->inject_message(m));
     }
