@@ -213,9 +213,8 @@ BENCHMARK(BM_PriorityTaylor)->Arg(1)->Arg(5)->Arg(20)->Arg(50);
 void BM_BufferAdmissionFifo(benchmark::State& state) {
   const dtn::SprayAndWaitRouter router;
   const dtn::FifoPolicy policy;
-  dtn::MessageArena arena;
   dtn::Node node(0, std::make_unique<dtn::StationaryModel>(dtn::Vec2{}),
-                 2'500'000, &router, &policy, arena);
+                 2'500'000, &router, &policy);
   dtn::PolicyContext ctx;
   ctx.n_nodes = 100;
   ctx.node = &node;

@@ -7,14 +7,9 @@
 
 namespace dtn {
 
-Buffer::Buffer(std::int64_t capacity_bytes, MessageArena& arena,
-               NodeHotState* hot, NodeId owner)
-    : arena_(&arena), hot_(hot), owner_(owner), capacity_(capacity_bytes) {
+Buffer::Buffer(std::int64_t capacity_bytes, NodeHotState* hot, NodeId owner)
+    : hot_(hot), owner_(owner), capacity_(capacity_bytes) {
   DTN_REQUIRE(capacity_bytes > 0, "Buffer: capacity must be positive");
-}
-
-Buffer::~Buffer() {
-  for (Handle h : handles_) arena_->free(h);
 }
 
 double Buffer::occupancy() const {
@@ -26,8 +21,7 @@ double Buffer::occupancy() const {
 bool Buffer::has(MessageId id) const { return find(id) != nullptr; }
 
 Message* Buffer::find(MessageId id) {
-  for (Handle h : handles_) {
-    Message& m = arena_->get(h);
+  for (Message& m : messages_) {
     if (m.id == id) return &m;
   }
   return nullptr;
@@ -42,20 +36,20 @@ bool Buffer::try_insert(Message m) {
   DTN_REQUIRE(m.size > 0, "Buffer: message size must be positive");
   if (m.size > free()) return false;
   set_used(used() + m.size);
-  bump_revision();
-  handles_.push_back(arena_->alloc(std::move(m)));
+  ++revision_;
+  messages_.push_back(std::move(m));
   return true;
 }
 
 Message Buffer::take(MessageId id) {
-  const auto it = std::find_if(
-      handles_.begin(), handles_.end(),
-      [this, id](Handle h) { return arena_->get(h).id == id; });
-  DTN_REQUIRE(it != handles_.end(), "Buffer: take of absent message");
-  Message out = arena_->release(*it);
-  handles_.erase(it);
+  const auto it =
+      std::find_if(messages_.begin(), messages_.end(),
+                   [id](const Message& m) { return m.id == id; });
+  DTN_REQUIRE(it != messages_.end(), "Buffer: take of absent message");
+  Message out = std::move(*it);
+  messages_.erase(it);
   set_used(used() - out.size);
-  bump_revision();
+  ++revision_;
   return out;
 }
 
@@ -100,9 +94,9 @@ void Buffer::save_state(snapshot::ArchiveWriter& out) const {
   // The revision counter is derived-but-deterministic (one bump per
   // membership change), so it is digest-safe; restoring it keeps
   // revision-keyed memo snapshots valid across checkpoint/restore.
-  out.u64(revision());
-  out.u64(handles_.size());
-  for (Handle h : handles_) save_message(out, arena_->get(h));
+  out.u64(revision_);
+  out.u64(messages_.size());
+  for (const Message& m : messages_) save_message(out, m);
   out.end_section();
 }
 
@@ -111,28 +105,24 @@ void Buffer::load_state(snapshot::ArchiveReader& in) {
   const std::int64_t capacity = in.i64();
   DTN_REQUIRE(capacity == capacity_,
               "buffer: snapshot capacity does not match this world");
-  if (in.version() >= 2) {
-    set_revision(in.u64());
-  } else {
-    // v1 predates the counter; restart it. Every revision-keyed memo is
-    // also cleared on load, so nothing holds a stale revision.
-    set_revision(0);
-  }
-  for (Handle h : handles_) arena_->free(h);
-  handles_.clear();
-  std::int64_t used = 0;
+  // v1 predates the counter; restart it. Every revision-keyed memo is
+  // also cleared on load, so nothing holds a stale revision.
+  const std::uint64_t revision = in.version() >= 2 ? in.u64() : 0;
+  messages_.clear();
+  set_used(0);
   // A message's fixed fields (save_message): nine 64-bit values, two node
   // ids and the spray-time count.
   const std::size_t n = in.count(10 * snapshot::kTagged64Bytes +
                                  2 * snapshot::kTaggedU32Bytes);
-  handles_.reserve(n);
+  messages_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Message m = load_message(in);
-    used += m.size;
-    handles_.push_back(arena_->alloc(std::move(m)));
+    // try_insert's rules hold for a restore too: a repeated id would
+    // restore two residents under one id, both counted in used() and
+    // only the first reachable by take().
+    DTN_REQUIRE(try_insert(load_message(in)),
+                "buffer: snapshot overflows capacity");
   }
-  set_used(used);
-  DTN_REQUIRE(used <= capacity_, "buffer: snapshot overflows capacity");
+  revision_ = revision;
   in.end_section();
 }
 

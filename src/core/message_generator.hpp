@@ -46,8 +46,6 @@ class MessageGenerator {
 
   MessageId next_id() const { return next_id_; }
 
-  const MessageGenConfig& config() const { return cfg_; }
-
   /// Snapshot/restore of the traffic schedule (rng stream, next creation
   /// time and next message id); the config is verified-by-construction.
   void save_state(snapshot::ArchiveWriter& out) const;

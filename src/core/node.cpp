@@ -12,12 +12,11 @@ namespace dtn {
 
 Node::Node(NodeId id, MobilityPtr mobility, std::int64_t buffer_capacity,
            const Router* router, const BufferPolicy* policy,
-           MessageArena& arena, const NodeEstimatorConfig& est_cfg,
-           NodeHotState* hot)
+           const NodeEstimatorConfig& est_cfg, NodeHotState* hot)
     : id_(id),
       hot_(hot),
       mobility_(std::move(mobility)),
-      buffer_(buffer_capacity, arena, hot, id),
+      buffer_(buffer_capacity, hot, id),
       router_(router),
       policy_(policy),
       imt_(est_cfg.prior_mean_intermeeting, est_cfg.min_intermeeting_samples,

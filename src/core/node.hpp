@@ -29,11 +29,10 @@ struct NodeEstimatorConfig {
 
 class Node {
  public:
-  /// Message copies live in `arena` (shared, World-owned in simulation;
-  /// test-local otherwise). `hot` binds this node's radio/buffer scalars
-  /// to the World's SoA block (nullptr keeps them in local fallbacks).
+  /// `hot` binds this node's radio flag and buffer byte count to the
+  /// World's NodeHotState (nullptr keeps them in local fallbacks).
   Node(NodeId id, MobilityPtr mobility, std::int64_t buffer_capacity,
-       const Router* router, const BufferPolicy* policy, MessageArena& arena,
+       const Router* router, const BufferPolicy* policy,
        const NodeEstimatorConfig& est_cfg = {}, NodeHotState* hot = nullptr);
 
   NodeId id() const { return id_; }
@@ -152,7 +151,7 @@ class Node {
   }
 
   NodeId id_;
-  NodeHotState* hot_;  ///< World SoA block, or nullptr standalone
+  NodeHotState* hot_;  ///< World hot-state arrays, or nullptr standalone
   MobilityPtr mobility_;
   Buffer buffer_;
   const Router* router_;

@@ -45,11 +45,10 @@ NodeId World::add_node(MobilityPtr mobility, std::int64_t buffer_capacity,
   DTN_REQUIRE(router_ != nullptr && policy_ != nullptr,
               "World: set router and policy before adding nodes");
   const auto id = static_cast<NodeId>(nodes_.size());
-  hot_.add_node(buffer_capacity);
+  hot_.add_node();
   nodes_.push_back(std::make_unique<Node>(id, std::move(mobility),
                                           buffer_capacity, router_.get(),
-                                          policy_.get(), arena_, est_cfg,
-                                          &hot_));
+                                          policy_.get(), est_cfg, &hot_));
   mobility_raw_.push_back(&nodes_.back()->mobility());
   outgoing_.push_back(-1);
   kinetics_configured_ = false;  // fleet speed bound may have changed
@@ -71,37 +70,12 @@ void World::push_expiry(NodeId node_id, SimTime expiry, MessageId msg) {
 
 void World::configure_kinetics() {
   kinetics_configured_ = true;
-  prepare_capacity();
+  tracker_.reserve_nodes(nodes_.size());
   double v_max = 0.0;
   for (const auto& n : nodes_) {
     v_max = std::max(v_max, n->mobility().max_speed());
   }
   tracker_.set_motion_bound(std::isfinite(v_max) ? v_max * cfg_.step : -1.0);
-}
-
-void World::prepare_capacity() {
-  tracker_.reserve_nodes(nodes_.size());
-  // Expected live arena slots: the traffic schedule creates one message
-  // per interval_min (worst case) living `ttl` seconds, each spread over
-  // at most initial_copies carriers; total residency is further capped by
-  // the fleet's aggregate buffer bytes. Clamp the estimate so degenerate
-  // configs (tiny intervals, huge ttl) cannot balloon the reservation.
-  std::size_t slots = 256;
-  if (gen_ != nullptr) {
-    const MessageGenConfig& tc = gen_->config();
-    const double horizon = std::min(tc.ttl, cfg_.duration);
-    const double interval = std::max(tc.interval_min, 1e-6);
-    const double by_rate = (horizon / interval) *
-                           static_cast<double>(std::max(tc.initial_copies, 1));
-    double cap_bytes = 0.0;
-    for (std::int64_t c : hot_.buffer_cap) cap_bytes += static_cast<double>(c);
-    const double by_bytes =
-        cap_bytes / static_cast<double>(std::max<std::int64_t>(tc.size, 1));
-    const double est = std::min(by_rate, by_bytes);
-    slots = std::max(slots, static_cast<std::size_t>(std::min(
-                                est, static_cast<double>(1u << 18))));
-  }
-  arena_.reserve(slots);
 }
 
 void World::enable_traffic(const MessageGenConfig& cfg, std::uint64_t seed) {
@@ -210,13 +184,11 @@ void World::apply_fault_events() {
   while (fault_->pop_due(now_, &e)) {
     switch (e.kind) {
       case FaultPlan::Kind::kNodeDown:
-        hot_.up[e.node] = 0;
         // Immediate abort (not deferred to the live-set diff) so even a
         // down+up pair landing within one step kills the transfer.
         abort_faulted_transfer_of(e.node);
         break;
       case FaultPlan::Kind::kNodeUp:
-        hot_.up[e.node] = 1;
         stats_.downtime_s += e.down_duration;
         if (fault_->config().reboot_purge) purge_on_reboot(node(e.node));
         break;
@@ -239,11 +211,7 @@ void World::apply_fault_events() {
         break;
       case FaultPlan::Kind::kDegradeStart:
       case FaultPlan::Kind::kDegradeEnd:
-        // Flags flipped in the plan; refresh the SoA mirrors so the
-        // live-set derivation streams arrays instead of plan lookups.
-        hot_.range_factor[e.node] = fault_->range_factor(e.node);
-        hot_.bitrate_factor[e.node] = fault_->bitrate_factor(e.node);
-        break;
+        break;  // the plan flipped its own flag; the live set reads it
     }
   }
 }
@@ -284,16 +252,16 @@ void World::purge_on_reboot(Node& n) {
 }
 
 void World::compute_live_contacts(std::vector<NodePair>& out) const {
-  // Streams the SoA fault mirrors and the tracker's position array
-  // (refreshed by advance_mobility each step, restored with the tracker)
-  // instead of chasing Node/FaultPlan state per pair.
+  // Reads the plan's flags and the tracker's position array (refreshed
+  // by advance_mobility each step, restored with the tracker).
   out.clear();
   const std::vector<Vec2>& positions = tracker_.positions();
   for (const NodePair& p : tracker_.current()) {
     const auto a = static_cast<NodeId>(p.first);
     const auto b = static_cast<NodeId>(p.second);
-    if (hot_.up[a] == 0 || hot_.up[b] == 0) continue;
-    const double f = std::min(hot_.range_factor[a], hot_.range_factor[b]);
+    if (!fault_->is_up(a) || !fault_->is_up(b)) continue;
+    const double f =
+        std::min(fault_->range_factor(a), fault_->range_factor(b));
     if (f < 1.0) {
       const Vec2 pa = positions[a];
       const Vec2 pb = positions[b];
@@ -562,7 +530,7 @@ bool World::admit_at_source(Message&& m) {
   const SimTime expiry = m.expiry();
   registry_.on_created(id, src);
   notify([&m, this](WorldObserver& o) { o.on_message_created(m, now_); });
-  if (fault_ != nullptr && hot_.up[src] == 0) {
+  if (fault_ != nullptr && !fault_->is_up(src)) {
     // The application layer produced the message (the generator's
     // schedule is fault-independent) but the node is down: it is lost
     // at the source. No record_drop — the policy never saw it.
@@ -624,8 +592,8 @@ void World::try_start(NodeId from_id, NodeId to_id) {
   // Routers choose from the sender's buffer by contract: an empty buffer
   // can never yield a candidate, so skip the router (and the memo) — the
   // dominant case in sparse large-N fleets. Buffer admission rejects
-  // size == 0, so used == 0 ⟺ empty and the SoA occupancy answers it
-  // without touching the Node object. It is tested first: all three
+  // size == 0, so used == 0 ⟺ empty and the hot-state byte count answers
+  // it without touching the Node object. It is tested first: all three
   // early returns are free of side effects, and this one nearly always
   // decides alone, with one load instead of three.
   if (hot_.buffer_used[from_id] == 0) return;
@@ -669,8 +637,8 @@ void World::try_start(NodeId from_id, NodeId to_id) {
   if (fault_ != nullptr) {
     // Degraded endpoints throttle the link; the eta is fixed at start
     // (a window opening or closing mid-transfer does not retime it).
-    bandwidth *= std::min(hot_.bitrate_factor[from_id],
-                          hot_.bitrate_factor[to_id]);
+    bandwidth *= std::min(fault_->bitrate_factor(from_id),
+                          fault_->bitrate_factor(to_id));
   }
   t.eta = now_ + static_cast<double>(copy->size) / bandwidth;
   t.seq = transfer_seq_++;
@@ -710,12 +678,11 @@ void World::purge_acked(Node& n) {
 }
 
 void World::sample_occupancy() {
-  // Streams the SoA byte-accounting arrays; Buffer requires a positive
-  // capacity, so the per-node ratio is always well-defined.
+  // An empty buffer's term is +0.0, which leaves the sum unchanged, so
+  // only nodes that hold bytes are read: at 100k nodes nearly none do.
   double total = 0.0;
-  for (std::size_t i = 0; i < hot_.buffer_used.size(); ++i) {
-    total += static_cast<double>(hot_.buffer_used[i]) /
-             static_cast<double>(hot_.buffer_cap[i]);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (hot_.buffer_used[i] != 0) total += nodes_[i]->buffer().occupancy();
   }
   stats_.buffer_occupancy.add(total / static_cast<double>(nodes_.size()));
 }
@@ -836,10 +803,11 @@ void World::save_state(snapshot::ArchiveWriter& out) const {
           out.u64(m.to_stamp);
           out.u64(m.to_rev);
         });
-    // v5: arena sizing hints. Derived state: never hashed, and a restore
-    // only checks them against the messages it restored (load_state).
-    out.u64(arena_.high_water());
-    out.u64(arena_.free_count());
+    // v5: the hint fields, written as (copies the fleet holds, 0 free).
+    // Derived state: never hashed, and a restore only checks them against
+    // the messages it restored (load_state).
+    out.u64(copies_held());
+    out.u64(0);
   }
   out.end_section();
 }
@@ -915,15 +883,15 @@ void World::load_state(snapshot::ArchiveReader& in) {
     }
   }
   if (in.version() >= 5) {
-    // The saved arena's slots were its live messages, which the buffers
-    // have just restored, plus its free list; a hint that disagrees is
-    // corrupt. It sizes nothing: capped by the restored population, it
-    // would ask for no slot the restore has not allocated already.
+    // A high water and a free count: their difference is the copies the
+    // buffers have just restored, or the hint is corrupt. Files written
+    // while a slab arena held the copies may carry free slots. The hint
+    // sizes nothing.
     const std::uint64_t high_water = in.u64();
     const std::uint64_t free_slots = in.u64();
-    DTN_REQUIRE(free_slots <= high_water &&
-                    high_water - free_slots == arena_.live_count(),
-                "load_state: arena hint does not match the restored messages");
+    DTN_REQUIRE(
+        free_slots <= high_water && high_water - free_slots == copies_held(),
+        "load_state: copy hint does not match the restored messages");
   }
   in.end_section();
   rebuild_event_queues();
@@ -938,14 +906,19 @@ void World::rebuild_event_queues() {
   outgoing_.assign(nodes_.size(), -1);
   transfer_seq_ = 0;
   eta_heap_.clear();
+  // The radio serializes: a node takes part in at most one transfer, as
+  // sender or receiver.
+  std::vector<std::uint8_t> busy(nodes_.size(), 0);
   for (std::size_t i = 0; i < transfers_.size(); ++i) {
     Transfer& t = transfers_[i];
     t.seq = transfer_seq_++;
-    DTN_REQUIRE(t.from < nodes_.size() && outgoing_[t.from] < 0,
-                "load_state: duplicate sender among in-flight transfers");
-    DTN_REQUIRE(t.to < nodes_.size() && t.to != t.from,
-                "load_state: in-flight transfer's receiver is not another "
-                "fleet node");
+    DTN_REQUIRE(t.from < nodes_.size() && t.to < nodes_.size() &&
+                    t.to != t.from,
+                "load_state: in-flight transfer is not between two fleet "
+                "nodes");
+    DTN_REQUIRE(busy[t.from] == 0 && busy[t.to] == 0,
+                "load_state: a node takes part in two in-flight transfers");
+    busy[t.from] = busy[t.to] = 1;
     // Completion and abort both read the sender's copy and drop its pin.
     const Node& from = *nodes_[t.from];
     DTN_REQUIRE(from.buffer().has(t.msg) && from.is_pinned(t.msg),
@@ -955,6 +928,19 @@ void World::rebuild_event_queues() {
     eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});
   }
   std::make_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
+  // Pins and radio flags are derived from the transfers. A pin no
+  // transfer drops keeps its copy past its TTL for good (purge_ttl
+  // re-queues pinned copies); a busy flag on an idle node silences it; a
+  // cleared flag on a sender lets it start a second transfer over the
+  // first one's outgoing_ entry.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = *nodes_[i];
+    DTN_REQUIRE(n.pinned().size() == (outgoing_[i] >= 0 ? 1u : 0u),
+                "load_state: a node pins a copy no in-flight transfer sends");
+    DTN_REQUIRE(n.radio_busy() == (busy[i] != 0),
+                "load_state: a node's radio flag disagrees with the in-flight "
+                "transfers");
+  }
   expiry_heap_.clear();
   for (const auto& n : nodes_) {
     for (const Message& m : n->buffer().messages()) {
@@ -964,17 +950,14 @@ void World::rebuild_event_queues() {
   std::make_heap(expiry_heap_.begin(), expiry_heap_.end(), &expiry_after);
   // The live contact set is derived: the restored tracker pairs filtered
   // through the restored plan flags at the restored positions reproduce
-  // exactly the set the interrupted run held. The SoA fault mirrors (its
-  // other input) are refreshed first — the next advance_mobility has not
-  // run yet.
-  if (fault_ != nullptr) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      hot_.up[i] = fault_->is_up(static_cast<NodeId>(i)) ? 1 : 0;
-      hot_.range_factor[i] = fault_->range_factor(static_cast<NodeId>(i));
-      hot_.bitrate_factor[i] = fault_->bitrate_factor(static_cast<NodeId>(i));
-    }
-    compute_live_contacts(live_contacts_);
-  }
+  // exactly the set the interrupted run held.
+  if (fault_ != nullptr) compute_live_contacts(live_contacts_);
+}
+
+std::uint64_t World::copies_held() const {
+  std::uint64_t copies = 0;
+  for (const auto& n : nodes_) copies += n->buffer().count();
+  return copies;
 }
 
 std::uint64_t World::digest() const {

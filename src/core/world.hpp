@@ -19,7 +19,6 @@
 #include "src/core/buffer_policy.hpp"
 #include "src/core/hot_state.hpp"
 #include "src/core/idle_table.hpp"
-#include "src/core/message_arena.hpp"
 #include "src/core/message_generator.hpp"
 #include "src/core/node.hpp"
 #include "src/core/observer.hpp"
@@ -134,10 +133,6 @@ class World {
   const std::vector<Transfer>& transfers_in_flight() const { return transfers_; }
   const Router& router() const { return *router_; }
   const BufferPolicy& policy() const { return *policy_; }
-  /// The slab arena holding every buffered message copy (DESIGN.md §14).
-  const MessageArena& arena() const { return arena_; }
-  /// The per-node SoA hot-state block (radio, buffer, fault mirrors).
-  const NodeHotState& hot_state() const { return hot_; }
   /// The active fault plan, or nullptr when fault injection is off.
   const FaultPlan* faults() const { return fault_.get(); }
   /// Links usable this step: the geometric contact set, minus pairs
@@ -233,8 +228,10 @@ class World {
   /// ACK gossip: removes unpinned copies of known-delivered messages.
   void purge_acked(Node& n);
   /// Computes the fleet-wide per-step motion bound from the mobility
-  /// models and hands it to the contact tracker (once, lazily, on the
-  /// first step — all nodes exist by then).
+  /// models and hands it to the contact tracker, and sizes the grid and
+  /// contact buffers for the fleet (once, lazily, on the first step — all
+  /// nodes exist by then). Per-node state is not reserved: it grows on
+  /// use, and the steady-state step loop allocates nothing once it has.
   void configure_kinetics();
   /// Swap-pop removal of `from`'s outgoing transfer, keeping the
   /// `outgoing_` index consistent. O(1); vector order is not meaningful.
@@ -242,13 +239,8 @@ class World {
   void push_expiry(NodeId node, SimTime expiry, MessageId msg);
   /// Reconstructs outgoing_/heaps/seqs from restored transfers+buffers.
   void rebuild_event_queues();
-
-  /// Pre-sizes the arena from the traffic schedule and the grid and
-  /// contact buffers from the fleet size, so the first steps do not grow
-  /// them (runs once, lazily, with configure_kinetics). Per-node state is
-  /// not reserved: it grows on use, and the steady-state step loop
-  /// allocates nothing once it has.
-  void prepare_capacity();
+  /// Message copies the fleet's buffers hold (the v5 hint).
+  std::uint64_t copies_held() const;
 
   template <typename Fn>
   void notify(Fn&& fn) {
@@ -260,9 +252,7 @@ class World {
   std::vector<WorldObserver*> observers_;
   std::unique_ptr<Router> router_;
   std::unique_ptr<BufferPolicy> policy_;
-  /// Declared before nodes_: buffers free their arena handles on
-  /// destruction, so the arena must outlive every Node.
-  MessageArena arena_;
+  /// try_start's first screen: radio flags and buffer byte counts.
   NodeHotState hot_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Non-owning mobility pointers parallel to nodes_: the per-step

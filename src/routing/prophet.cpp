@@ -6,6 +6,7 @@
 #include "src/core/node.hpp"
 #include "src/routing/routing_common.hpp"
 #include "src/snapshot/archive.hpp"
+#include "src/util/error.hpp"
 
 namespace dtn {
 
@@ -53,9 +54,17 @@ void ProphetTable::save_state(snapshot::ArchiveWriter& out) const {
 void ProphetTable::load_state(snapshot::ArchiveReader& in) {
   in.begin_section("prophet-table");
   p_.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // destination, predictability
+  const std::size_t n =
+      in.count(snapshot::kTaggedU32Bytes + snapshot::kTagged64Bytes);
+  NodeId last = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     const NodeId dest = in.u32();
+    // Saved strictly ascending; a repeat would collapse into one entry and
+    // the restored table would re-save other bytes than it loaded.
+    DTN_REQUIRE(i == 0 || dest > last,
+                "prophet: table destinations repeated or out of order");
+    last = dest;
     p_[dest] = in.f64();
   }
   last_age_ = in.f64();
@@ -134,9 +143,15 @@ void ProphetRouter::save_state(snapshot::ArchiveWriter& out) const {
 void ProphetRouter::load_state(snapshot::ArchiveReader& in) {
   in.begin_section("prophet");
   tables_.clear();
-  const std::uint64_t n = in.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // owner, then its table's section, entry count and aging time
+  const std::size_t n =
+      in.count(snapshot::kTaggedU32Bytes + 2 * snapshot::kTagged64Bytes);
+  NodeId last = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     const NodeId owner = in.u32();
+    DTN_REQUIRE(i == 0 || owner > last,
+                "prophet: owners repeated or out of order");
+    last = owner;
     tables_[owner].load_state(in);
   }
   in.end_section();

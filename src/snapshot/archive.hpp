@@ -42,7 +42,8 @@ inline constexpr std::uint32_t kArchiveMagic = 0x534E5444u;  // "DTNS" LE
 // (src/pipeline/composite_policy.cpp). Only checkpoints of worlds built
 // from a Pipeline.spec with a non-canonical element pair carry the
 // section, but any v6 layout needs a version old readers refuse rather
-// than misparse. (v5: message-arena sizing hints; v4: fault-injection
+// than misparse. (v5: two hint fields, now written as the copies the
+// fleet holds and 0; v4: fault-injection
 // state — FaultPlan plus the fault counters in SimStats; v3:
 // event-driven core kinetic state; v2: priority cache.)
 // Since v4, readers accept any older version: each load_state consults

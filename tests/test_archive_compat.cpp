@@ -8,7 +8,7 @@
 //
 // v2–v7 additionally must finish *equal to a current cold run*: what
 // those versions added (idle memo, kinetic contact bookkeeping, fault
-// state defaults, arena sizing hints) is derived-but-deterministic
+// state defaults, the v5 hint fields) is derived-but-deterministic
 // state, so losing it cannot change decisions, and v7 only changes how
 // shared drop records are written. v7 is the current version, so the
 // current writer must also reproduce it byte for byte.

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/buffer.hpp"
-#include "src/core/message_arena.hpp"
 #include "src/util/error.hpp"
 
 namespace dtn {
@@ -22,8 +21,7 @@ Message msg(MessageId id, std::int64_t size, SimTime created = 0.0,
 }
 
 TEST(Buffer, StartsEmpty) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   EXPECT_EQ(b.capacity(), 1000);
   EXPECT_EQ(b.used(), 0);
   EXPECT_EQ(b.free(), 1000);
@@ -32,14 +30,12 @@ TEST(Buffer, StartsEmpty) {
 }
 
 TEST(Buffer, RejectsNonPositiveCapacity) {
-  MessageArena arena;
-  EXPECT_THROW(Buffer(0, arena), PreconditionError);
-  EXPECT_THROW(Buffer(-5, arena), PreconditionError);
+  EXPECT_THROW(Buffer(0), PreconditionError);
+  EXPECT_THROW(Buffer(-5), PreconditionError);
 }
 
 TEST(Buffer, InsertTracksBytes) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   EXPECT_TRUE(b.try_insert(msg(1, 400)));
   EXPECT_EQ(b.used(), 400);
   EXPECT_EQ(b.free(), 600);
@@ -49,8 +45,7 @@ TEST(Buffer, InsertTracksBytes) {
 }
 
 TEST(Buffer, InsertFailsWhenFull) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   EXPECT_TRUE(b.try_insert(msg(1, 700)));
   EXPECT_FALSE(b.try_insert(msg(2, 400)));
   EXPECT_EQ(b.count(), 1u);
@@ -58,15 +53,13 @@ TEST(Buffer, InsertFailsWhenFull) {
 }
 
 TEST(Buffer, DuplicateIdThrows) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   EXPECT_TRUE(b.try_insert(msg(1, 100)));
   EXPECT_THROW(b.try_insert(msg(1, 100)), PreconditionError);
 }
 
 TEST(Buffer, FindAndHas) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   b.try_insert(msg(5, 100));
   EXPECT_TRUE(b.has(5));
   EXPECT_FALSE(b.has(6));
@@ -76,8 +69,7 @@ TEST(Buffer, FindAndHas) {
 }
 
 TEST(Buffer, TakeRemovesAndReturns) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   b.try_insert(msg(1, 300));
   b.try_insert(msg(2, 200));
   const Message out = b.take(1);
@@ -87,14 +79,12 @@ TEST(Buffer, TakeRemovesAndReturns) {
 }
 
 TEST(Buffer, TakeMissingThrows) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   EXPECT_THROW(b.take(42), PreconditionError);
 }
 
 TEST(Buffer, ArrivalOrderPreserved) {
-  MessageArena arena;
-  Buffer b(1000, arena);
+  Buffer b(1000);
   b.try_insert(msg(3, 100));
   b.try_insert(msg(1, 100));
   b.try_insert(msg(2, 100));

@@ -151,8 +151,8 @@ PinnedWorld scenario_world(std::string name, const Scenario& sc,
 /// The paper scenarios under the four paper policies; a saturated buffer
 /// that drives evictions, source rejections and drop-list gossip; the
 /// four fault worlds; a mass TTL expiry; and 10,000 nodes at Table II
-/// density (the area grows by √(N/100)), where the dense grid, the arena
-/// and the kinetic skip run at scale.
+/// density (the area grows by √(N/100)), where the dense grid and the
+/// kinetic skip run at scale.
 std::vector<PinnedWorld> pinned_worlds() {
   std::vector<PinnedWorld> worlds;
   for (const char* which : kScenarios) {

@@ -36,7 +36,7 @@ class NodeAdmissionTest : public ::testing::Test {
 
   Node make_node(const BufferPolicy* policy, std::int64_t capacity) {
     return Node(0, std::make_unique<StationaryModel>(Vec2{0, 0}), capacity,
-                router_.get(), policy, arena_);
+                router_.get(), policy);
   }
 
   PolicyContext ctx(const Node& n, SimTime now) {
@@ -47,7 +47,6 @@ class NodeAdmissionTest : public ::testing::Test {
     return c;
   }
 
-  MessageArena arena_;
   std::unique_ptr<SprayAndWaitRouter> router_;
   std::unique_ptr<FifoPolicy> fifo_;
   std::unique_ptr<TtlRatioPolicy> ttl_;

@@ -41,7 +41,7 @@ class PolicyTest : public ::testing::Test {
       : router_(std::make_unique<SprayAndWaitRouter>()),
         fifo_holder_(std::make_unique<FifoPolicy>()),
         node_(0, std::make_unique<StationaryModel>(Vec2{0, 0}), 100000,
-              router_.get(), fifo_holder_.get(), arena_) {}
+              router_.get(), fifo_holder_.get()) {}
 
   PolicyContext ctx(SimTime now, std::size_t n_nodes = 100) {
     PolicyContext c;
@@ -54,7 +54,6 @@ class PolicyTest : public ::testing::Test {
 
   std::unique_ptr<SprayAndWaitRouter> router_;
   std::unique_ptr<FifoPolicy> fifo_holder_;
-  MessageArena arena_;
   Node node_;
   GlobalRegistry registry_;
 };

@@ -252,9 +252,8 @@ TEST_P(BufferModelFuzz, AdmissionAgreesWithNaiveModel) {
     }
     SprayAndWaitRouter router;
     constexpr std::int64_t kCapacity = 3'000'000;
-    MessageArena arena;
     Node node(0, std::make_unique<StationaryModel>(Vec2{0.0, 0.0}), kCapacity,
-              &router, policy.get(), arena);
+              &router, policy.get());
 
     std::map<MessageId, std::int64_t> model;  // id -> size
     std::set<MessageId> pinned;

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/buffer/fifo.hpp"
 #include "src/core/node.hpp"
 #include "src/mobility/stationary.hpp"
 #include "src/routing/prophet.hpp"
+#include "src/snapshot/archive.hpp"
+#include "src/util/error.hpp"
 
 namespace dtn {
 namespace {
@@ -29,7 +34,7 @@ class ProphetTest : public ::testing::Test {
 
   Node make_node(NodeId id) {
     return Node(id, std::make_unique<StationaryModel>(Vec2{0, 0}), 100000,
-                &router_, policy_.get(), arena_);
+                &router_, policy_.get());
   }
 
   PolicyContext ctx(const Node& n, SimTime now) {
@@ -40,7 +45,6 @@ class ProphetTest : public ::testing::Test {
     return c;
   }
 
-  MessageArena arena_;
   ProphetRouter router_;
   std::unique_ptr<FifoPolicy> policy_;
 };
@@ -117,6 +121,99 @@ TEST_F(ProphetTest, RelayCopySemantics) {
   EXPECT_DOUBLE_EQ(relay.received, 9.0);
   EXPECT_TRUE(router_.on_sent(copy, false, 9.0));  // sender keeps a copy
   EXPECT_EQ(copy.forwards, 1);
+}
+
+// --- snapshot state ---
+
+using Table = std::vector<std::pair<std::uint32_t, double>>;
+using Tables = std::vector<std::pair<std::uint32_t, Table>>;
+
+// A hand-built "prophet" section: each owner's table of (destination,
+// predictability) entries, aged to 100 s.
+std::vector<std::uint8_t> prophet_section(const Tables& tables) {
+  snapshot::ArchiveWriter w;
+  w.begin_section("prophet");
+  w.u64(tables.size());
+  for (const auto& [owner, table] : tables) {
+    w.u32(owner);
+    w.begin_section("prophet-table");
+    w.u64(table.size());
+    for (const auto& [dest, p] : table) {
+      w.u32(dest);
+      w.f64(p);
+    }
+    w.f64(100.0);
+    w.end_section();
+  }
+  w.end_section();
+  return w.bytes();
+}
+
+void load(ProphetRouter& router, const Tables& tables) {
+  snapshot::ArchiveReader in(prophet_section(tables));
+  router.load_state(in);
+}
+
+TEST(ProphetState, LoadsAscendingTablesAndResavesTheSameBytes) {
+  const std::vector<std::uint8_t> bytes =
+      prophet_section({{0, {{1, 0.5}, {3, 0.25}}}, {2, {{0, 0.75}}}});
+  ProphetRouter router;
+  snapshot::ArchiveReader in(bytes);
+  router.load_state(in);
+  EXPECT_DOUBLE_EQ(router.predictability(0, 3, 100.0), 0.25);
+  EXPECT_DOUBLE_EQ(router.predictability(2, 0, 100.0), 0.75);
+  snapshot::ArchiveWriter resaved;
+  router.save_state(resaved);
+  EXPECT_EQ(resaved.bytes(), bytes);
+}
+
+TEST(ProphetState, RejectsRepeatedOwner) {
+  // Accepting it, the second table replaced the first and the restored
+  // router re-saved one owner where it loaded two.
+  ProphetRouter router;
+  EXPECT_THROW(load(router, {{1, {{0, 0.5}}}, {1, {{2, 0.5}}}}),
+               PreconditionError);
+}
+
+TEST(ProphetState, RejectsOwnersOutOfOrder) {
+  ProphetRouter router;
+  EXPECT_THROW(load(router, {{2, {{0, 0.5}}}, {1, {{0, 0.5}}}}),
+               PreconditionError);
+}
+
+TEST(ProphetState, RejectsRepeatedDestination) {
+  // Accepting it, the second entry overwrote the first.
+  ProphetRouter router;
+  EXPECT_THROW(load(router, {{0, {{1, 0.5}, {1, 0.25}}}}), PreconditionError);
+}
+
+TEST(ProphetState, RejectsDestinationsOutOfOrder) {
+  ProphetRouter router;
+  EXPECT_THROW(load(router, {{0, {{3, 0.5}, {1, 0.25}}}}), PreconditionError);
+}
+
+TEST(ProphetState, RejectsCountsPastTheBytesLeft) {
+  for (const bool owners : {true, false}) {
+    std::vector<std::uint8_t> bytes = prophet_section({{0, {{1, 0.5}}}});
+    // The owner count follows the section's begin (a tag, a length and
+    // "prophet"); the table's entry count follows its owner and its
+    // section's begin ("prophet-table").
+    const std::size_t at = owners ? 9 + 7 : 9 + 7 + 9 + 5 + 9 + 13;
+    ASSERT_EQ(bytes.at(at), 0x03);
+    ASSERT_EQ(bytes.at(at + 1), 1);
+    bytes[at + 8] = 0x01;  // 2^56 + 1 entries
+    ProphetRouter router;
+    snapshot::ArchiveReader in(bytes);
+    // Rejected by the count itself, not at the first element past the end.
+    try {
+      router.load_state(in);
+      ADD_FAILURE() << "loaded; owners " << owners;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("count past end"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

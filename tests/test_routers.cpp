@@ -37,7 +37,7 @@ class RouterTest : public ::testing::Test {
 
   Node make_node(NodeId id, const Router* r, std::int64_t cap = 100000) {
     return Node(id, std::make_unique<StationaryModel>(Vec2{0, 0}), cap,
-                r, policy_.get(), arena_);
+                r, policy_.get());
   }
 
   PolicyContext ctx(const Node& n, SimTime now = 10.0) {
@@ -48,7 +48,6 @@ class RouterTest : public ::testing::Test {
     return c;
   }
 
-  MessageArena arena_;
   std::unique_ptr<FifoPolicy> policy_;
 };
 

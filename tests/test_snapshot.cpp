@@ -38,6 +38,15 @@ std::vector<char> file_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
+// Copies the world's buffers hold.
+std::uint64_t buffered_copies(const World& world) {
+  std::uint64_t copies = 0;
+  for (NodeId n = 0; n < world.node_count(); ++n) {
+    copies += world.node(n).buffer().count();
+  }
+  return copies;
+}
+
 // --- archive format ---
 
 TEST(Archive, PrimitiveRoundTrip) {
@@ -366,6 +375,37 @@ TEST(SnapshotFile, FineStepRunLoadsAtEverySave) {
   }
 }
 
+TEST(SnapshotFile, ShortTtlWorldRoundTripsDigestIdentical) {
+  // A 400 s TTL purges copies all through the run, so the buffers at the
+  // save point hold survivors of every mix of purges, deliveries and
+  // drops. The world restores digest-equal at 1,500 s and resumes to the
+  // uninterrupted run's end digest.
+  Scenario sc = Scenario::random_waypoint_paper();
+  sc.n_nodes = 24;
+  sc.world.duration = 3000.0;
+  sc.traffic.ttl = 400.0;
+  sc.traffic.interval_min = 15.0;
+  sc.traffic.interval_max = 25.0;
+  sc.policy = "sdsrp";
+  sc.seed = 17;
+  auto world = build_world(sc);
+  world->run_until(1500.0);
+  ASSERT_GT(world->stats().ttl_expired, 0u);
+  ASSERT_GT(buffered_copies(*world), 0u);
+
+  const std::string path = temp_path("short_ttl.ckpt");
+  snapshot::save_checkpoint(path, sc, *world);
+  auto restored = snapshot::restore_checkpoint(path);
+  EXPECT_EQ(restored.world->digest(), world->digest())
+      << "restore drifted";
+
+  world->run();
+  restored.world->run();
+  EXPECT_EQ(restored.world->digest(), world->digest())
+      << "resumed run diverged from the uninterrupted one";
+  std::remove(path.c_str());
+}
+
 // --- archive v3: event-driven core state ---
 
 TEST(SnapshotV3, SaveLandsMidTransferAndRestoresBitIdentical) {
@@ -506,13 +546,19 @@ void patch_u32(const std::string& path, std::size_t at, std::uint32_t v) {
   patch_value(path, at, 0x02, v, 4);
 }
 
+// The small RWP world, paused while a transfer is in flight.
+std::unique_ptr<World> world_with_transfer(const Scenario& sc) {
+  auto world = build_world(sc);
+  world->run_until(1000.0);
+  while (world->transfers_in_flight().empty()) world->step();
+  return world;
+}
+
 // A checkpoint of the small RWP world taken while a transfer is in flight.
 std::string checkpoint_with_transfer(const std::string& name,
                                      std::unique_ptr<World>* world_out) {
   const Scenario sc = small_paper("rwp", "sdsrp");
-  auto world = build_world(sc);
-  world->run_until(1000.0);
-  while (world->transfers_in_flight().empty()) world->step();
+  auto world = world_with_transfer(sc);
   const std::string path = temp_path(name);
   snapshot::save_checkpoint(path, sc, *world);
   *world_out = std::move(world);
@@ -522,14 +568,24 @@ std::string checkpoint_with_transfer(const std::string& name,
 TEST(CorruptCheckpoint, HugeArenaHintThrowsPreconditionError) {
   std::unique_ptr<World> world;
   const std::string path = checkpoint_with_transfer("huge_hint.ckpt", &world);
-  // The payload ends with the hint's high water and free count, the world
-  // section's end, the "no extra" flag and the checkpoint section's end.
+  // The payload ends with the v5 hint, the world section's end, the "no
+  // extra" flag and the checkpoint section's end. The hint is a high
+  // water and a free count, written as the fleet's copies and 0.
   const std::vector<std::uint8_t> payload = payload_of(path);
   const std::size_t at = payload.size() - 4 - 2 * snapshot::kTagged64Bytes;
-  const std::vector<std::uint8_t> high_water =
-      tagged(0x03, world->arena().high_water(), 8);
-  ASSERT_TRUE(std::equal(high_water.begin(), high_water.end(),
+  std::vector<std::uint8_t> hint = tagged(0x03, buffered_copies(*world), 8);
+  const std::vector<std::uint8_t> no_free = tagged(0x03, 0, 8);
+  hint.insert(hint.end(), no_free.begin(), no_free.end());
+  ASSERT_GT(buffered_copies(*world), 0u);
+  ASSERT_TRUE(std::equal(hint.begin(), hint.end(),
                          payload.begin() + static_cast<std::ptrdiff_t>(at)));
+  // A hint with free slots loads when high water minus free slots is the
+  // restored copy count, as a file written by the slab arena did.
+  patch_u64(path, at, buffered_copies(*world) + 5);
+  patch_u64(path, at + snapshot::kTagged64Bytes, 5);
+  EXPECT_NO_THROW(snapshot::restore_checkpoint(path));
+  patch_u64(path, at + snapshot::kTagged64Bytes, 4);
+  EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError);
   patch_u64(path, at, std::uint64_t{1} << 40);
   EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError);
   std::remove(path.c_str());
@@ -630,6 +686,114 @@ std::size_t unique_offset(const std::string& path,
                         pattern.end()),
             payload.end());
   return static_cast<std::size_t>(found - payload.begin());
+}
+
+// A node that neither sends nor receives and holds at least `min_copies`.
+NodeId idle_node(const World& world, std::size_t min_copies) {
+  for (NodeId n = 0; n < world.node_count(); ++n) {
+    bool in_transfer = false;
+    for (const Transfer& t : world.transfers_in_flight()) {
+      in_transfer = in_transfer || t.from == n || t.to == n;
+    }
+    if (!in_transfer && world.node(n).buffer().count() >= min_copies) {
+      return n;
+    }
+  }
+  ADD_FAILURE() << "no idle node holds " << min_copies << " copies";
+  return 0;
+}
+
+// Payload offset of the tag byte of resident `i`'s id in `b`, found by the
+// buffer's revision, count and residents as a save writes them.
+std::size_t resident_at(const std::string& path, const Buffer& b,
+                        std::size_t i) {
+  snapshot::ArchiveWriter all;
+  snapshot::ArchiveWriter before;
+  for (snapshot::ArchiveWriter* w : {&all, &before}) {
+    w->u64(b.revision());
+    w->u64(b.count());
+  }
+  for (std::size_t k = 0; k < b.count(); ++k) {
+    save_message(all, b.messages()[k]);
+    if (k < i) save_message(before, b.messages()[k]);
+  }
+  return unique_offset(path, {all.bytes()}) + before.bytes().size();
+}
+
+// A message's size (i64) follows its id (u64) and its two node ids (u32).
+constexpr std::size_t kMessageSize = 9 + 5 + 5;
+
+TEST(CorruptCheckpoint, BufferRepeatingAMessageIdThrows) {
+  // Restoring it used to succeed: both residents counted in used() and
+  // take() found only the first.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = world_with_transfer(sc);
+  const Buffer& b = world->node(idle_node(*world, 2)).buffer();
+  const std::string path = temp_path("repeated_id.ckpt");
+  snapshot::save_checkpoint(path, sc, *world);
+  patch_u64(path, resident_at(path, b, 1), b.messages()[0].id);
+  EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError);
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCheckpoint, BufferedMessageOfSizeZeroOrLessThrows) {
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = world_with_transfer(sc);
+  const Buffer& b = world->node(idle_node(*world, 1)).buffer();
+  const std::string path = temp_path("message_size.ckpt");
+  for (const std::int64_t size : {std::int64_t{0}, std::int64_t{-1}}) {
+    snapshot::save_checkpoint(path, sc, *world);
+    patch_value(path, resident_at(path, b, 0) + kMessageSize, 0x04,
+                static_cast<std::uint64_t>(size), 8);
+    EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError)
+        << "size " << size;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCheckpoint, PinThatNoTransferSendsThrows) {
+  // Restoring these used to succeed. A pinned copy with no transfer never
+  // left its buffer and never expired: purge_ttl re-queues a pinned copy
+  // every step. Cases: a resident of an idle node, and a sender's second
+  // resident.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  const std::string path = temp_path("stray_pin.ckpt");
+  for (int which = 0; which < 2; ++which) {
+    auto world = world_with_transfer(sc);
+    const Transfer first = first_saved_transfer(*world);
+    Node& n = world->node(which == 0 ? idle_node(*world, 1) : first.from);
+    std::optional<MessageId> unpinned;
+    for (const Message& m : n.buffer().messages()) {
+      if (!n.is_pinned(m.id)) unpinned = m.id;
+    }
+    ASSERT_TRUE(unpinned.has_value()) << "case " << which;
+    n.pin(*unpinned);
+    snapshot::save_checkpoint(path, sc, *world);
+    EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError)
+        << "case " << which;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptCheckpoint, RadioFlagThatDisagreesWithTheTransfersThrows) {
+  // Restoring these used to succeed. A busy flag on an idle node silenced
+  // it for the rest of the run. A cleared flag on a sender let it start a
+  // second transfer, whose outgoing_ entry replaced the first one's: the
+  // first one's ETA popped as a tombstone, so it never completed and its
+  // receiver stayed busy. Cases: an idle node set busy, a sender and a
+  // receiver cleared.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  const std::string path = temp_path("radio_flag.ckpt");
+  for (int which = 0; which < 3; ++which) {
+    auto world = world_with_transfer(sc);
+    const Transfer first = first_saved_transfer(*world);
+    const NodeId n[] = {idle_node(*world, 0), first.from, first.to};
+    world->node(n[which]).set_radio_busy(which == 0);
+    snapshot::save_checkpoint(path, sc, *world);
+    EXPECT_THROW(snapshot::restore_checkpoint(path), PreconditionError)
+        << "case " << which;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CorruptCheckpoint, DeliveredIdsRepeatedOrOutOfOrderThrow) {

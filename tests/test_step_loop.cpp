@@ -297,10 +297,10 @@ TEST(StepLoopScratch, FirstStepReservesNothingPerNode) {
 #ifdef DTN_NO_ALLOC_COUNTER
   GTEST_SKIP() << "allocation counter disabled under AddressSanitizer";
 #else
-  // The first step sizes what the fleet needs as a whole (grid, contact
-  // buffers, the arena by the traffic schedule), never one allocation
-  // per node: a handle span, memo entries or estimator peers grow only
-  // when a node uses them. 20,000 stationary nodes 50 m apart, out of
+  // The first step sizes what the fleet needs as a whole (grid and
+  // contact buffers), never one allocation per node: a buffer's message
+  // vector, memo entries or estimator peers grow only when a node uses
+  // them. 20,000 stationary nodes 50 m apart, out of
   // each other's 10 m range, with SDSRP traffic.
   constexpr std::size_t kNodes = 20'000;
   WorldConfig cfg;
